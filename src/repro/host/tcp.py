@@ -113,19 +113,21 @@ class AimdConnection:
         return min(window_rate, self.demand(self.sim.now))
 
     def _run(self):
-        # Deliberately per-packet, even against a burst-capable pipeline
-        # (``NicPipeline.submit_burst``). An ack-clocked sender has no
-        # usable CBR horizon: every ack mutates cwnd/srtt and therefore
-        # the pacing of every later emission, so a precomputed train
-        # must be retired on any feedback — and in a fig-style workload
-        # (4 apps x 2 conns, scale 2000, 6 s) trained ingress with
-        # retire-on-feedback measured 65,412 kernel events against
-        # 18,245 per-packet: a 3.6x pessimization. Worse, RTT-symmetric
-        # connections emit at exactly equal instants, and a wake
-        # re-armed at retire time cannot reproduce the per-packet
-        # resume-lane seq order among those simultaneous emissions, so
-        # deliveries shift by whole serialization quanta. Open-loop
-        # senders (FixedRateSender) are where emission trains pay off.
+        # Deliberately per-packet, even against a train-capable
+        # pipeline (``NicPipeline.submit_train``). An ack-clocked
+        # sender has no usable CBR horizon: every ack mutates cwnd/srtt
+        # and therefore the pacing of every later emission. A design
+        # that trained TCP emissions and retired a train's unsent tail
+        # on each feedback was measured and rejected: in a fig-style
+        # workload (4 apps x 2 conns, scale 2000, 6 s) it cost 65,412
+        # kernel events against 18,245 per-packet, a 3.6x
+        # pessimization. Worse, RTT-symmetric connections emit at
+        # exactly equal instants, and a wake re-armed at retire time
+        # cannot reproduce the per-packet resume-lane seq order among
+        # those simultaneous emissions, so deliveries shift by whole
+        # serialization quanta. Open-loop senders (FixedRateSender,
+        # TraceWorkload) are where emission trains pay off, and trains
+        # carry no retire protocol.
         p = self.params
         size = p.mss
         size_bits = size * 8.0

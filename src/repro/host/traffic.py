@@ -196,38 +196,42 @@ class FixedRateSender:
         self.jitter = jitter
         self.rng = rng
         self._sent = 0
-        self._burst_folded = 0
-        self._bursts: List = []
+        #: Emissions of settled trains, folded out of ``_trains``.
+        self._train_folded = 0
+        #: Unsettled ingress trains (at most the one in flight once
+        #: each new submission folds its settled predecessors).
+        self._trains: List = []
         self._process = sim.process(self._run())
 
     @property
     def sent_packets(self) -> int:
         """Packets emitted up to the current simulation time.
 
-        In burst-ingress mode emission instants are precomputed and
+        In train-ingress mode emission instants are precomputed and
         handed to the pipeline as run-lane trains; emissions whose
         instant has passed count as sent even when their arrival
         callback has not executed yet (lazy, like the sink tallies).
         """
-        bursts = self._bursts
-        if bursts:
-            now = self.sim._now
-            folded = self._burst_folded
-            live = []
-            n_live = 0
-            for rec in bursts:
-                if rec.settled(now):
-                    folded += rec.count_at(now)
-                else:
-                    live.append(rec)
-                    n_live += rec.count_at(now)
-            self._burst_folded = folded
-            self._bursts = live
-            return self._sent + folded + n_live
-        return self._sent + self._burst_folded
+        return self._sent + self._fold_trains(self.sim._now)
+
+    def _fold_trains(self, now: float) -> int:
+        """Fold settled trains into ``_train_folded``; return the
+        train emissions with instant <= *now*."""
+        folded = self._train_folded
+        live = []
+        n_live = 0
+        for rec in self._trains:
+            if rec.settled(now):
+                folded += rec.count_at(now)
+            else:
+                live.append(rec)
+                n_live += rec.count_at(now)
+        self._train_folded = folded
+        self._trains = live
+        return folded + n_live
 
     def _run(self):
-        # One loop iteration per injected packet (or per burst) — keep
+        # One loop iteration per injected packet (or per train) — keep
         # the per-packet state in locals instead of `self.` lookups.
         sim = self.sim
         make = self.factory.make
@@ -247,17 +251,17 @@ class FixedRateSender:
         jitter = self.jitter
         uniform = self.rng.uniform if (jitter > 0 and self.rng is not None) else None
         next_change = getattr(demand, "next_change", None) if demand is not None else None
-        # Burst ingress: precompute the next K emission instants with
+        # Train ingress: precompute the next K emission instants with
         # the exact float-op and RNG-draw order of the per-packet loop
         # and hand them to the pipeline as a single run-lane train.
-        # Engages only when the target is a burst-capable pipeline, no
+        # Engages only when the target is a train-capable pipeline, no
         # host CPU cost is modelled, and the demand schedule (if any)
         # exposes its boundaries (constant between them).
         owner = getattr(submit, "__self__", None)
         burst_max = getattr(owner, "ingress_burst", 0) if owner is not None else 0
-        submit_burst = owner.submit_burst if burst_max > 0 else None
+        submit_train = owner.submit_train if burst_max > 0 else None
         if (cpu is not None and send_cost > 0) or (demand is not None and next_change is None):
-            submit_burst = None
+            submit_train = None
         while True:
             effective_rate = rate_bps
             if demand is not None:
@@ -277,7 +281,7 @@ class FixedRateSender:
                     continue
                 effective_rate = min(rate_bps, demanded)
             interval = size_bits / effective_rate
-            if submit_burst is not None:
+            if submit_train is not None:
                 end = next_change(sim.now) if demand is not None else None
                 # Emissions past the current run horizon must not be
                 # precomputed: per-packet mode draws each gap's jitter
@@ -311,9 +315,13 @@ class FixedRateSender:
                         if uniform is not None:
                             gap *= 1.0 + uniform(-jitter, jitter)
                         t = t + gap
-                self._bursts.append(
-                    submit_burst(make, times, packet_size, flow, name, vf_index)
-                )
+                # Fold settled trains first so the list stays bounded
+                # by the trains in flight, not by the run length.
+                self._fold_trains(sim._now)
+                n = len(times)
+                self._trains.append(submit_train(
+                    make, times, [flow] * n, [packet_size] * n, name, vf_index
+                ))
                 yield At(t)
                 continue
             packet = make(packet_size, flow, sim.now, app=name, vf_index=vf_index)

@@ -18,7 +18,7 @@ Two generation engines share one statistical model (DESIGN.md §12):
   process pre-draws every flow arrival and emission instant for the
   next horizon window with the *exact* RNG-draw and float-op order of
   the per-flow engine, then hands the whole window to the target as
-  one pre-merged train (``NicPipeline.submit_trace``) or one run-lane
+  one pre-merged train (``NicPipeline.submit_train``) or one run-lane
   train. Packet streams are bit-identical between the engines; only
   kernel-event counts differ. Flow/byte tallies are folded lazily
   from per-window ledgers, so observation memory stays at one window
@@ -216,8 +216,8 @@ class TraceWorkload:
                 65536 * profile.packet_size * 8.0 / offered_load_bps,
             )
         self.window = window
-        # Batched ingress: hand whole windows to a trace-capable NIC
-        # (same owner detection as FixedRateSender's burst path); any
+        # Batched ingress: hand whole windows to a train-capable NIC
+        # (same owner detection as FixedRateSender's train path); any
         # other target gets per-item run-lane callbacks — still one
         # heap operation per window, minted at the exact instants.
         owner = getattr(submit, "__self__", None)
@@ -225,7 +225,7 @@ class TraceWorkload:
             owner
             if owner is not None
             and getattr(owner, "ingress_burst", 0) > 0
-            and hasattr(owner, "submit_trace")
+            and hasattr(owner, "submit_train")
             else None
         )
         if mode == "process":
@@ -497,7 +497,7 @@ class TraceWorkload:
         #    one run-lane train of exact-instant mint callbacks.
         target = self._trace_target
         if target is not None:
-            target.submit_trace(
+            target.submit_train(
                 self.factory.make, times_sorted, flows_sorted, mints_sorted,
                 self.app, self.vf_index,
             )

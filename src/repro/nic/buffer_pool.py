@@ -89,7 +89,7 @@ class BufferPool:
     def try_allocate_asof(self, time: float) -> bool:
         """:meth:`try_allocate` as it would have decided at *time*.
 
-        The burst-ingress route runs admission inside a DMA-completion
+        The train-ingress route runs admission inside a DMA-completion
         callback (wall clock = emission + DMA latency), but the
         per-packet reference decides at the emission instant. Draining
         only relinks matured by *time* reproduces that decision

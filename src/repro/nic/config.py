@@ -99,12 +99,14 @@ class NicConfig:
     #: only while tracing and metrics are off; set False to force the
     #: slow path (equivalence tests, debugging).
     fast_path: bool = True
-    #: Max emission instants a burst-capable sender may precompute and
-    #: hand to ``NicPipeline.submit_burst`` as one run-lane train
-    #: (DESIGN.md §7). Like ``fast_path`` it is auto-disabled while
-    #: tracing or metrics are on (and whenever ``fast_path`` is off);
-    #: 0 forces per-packet ingress. Observable behaviour is identical
-    #: either way.
+    #: Max emission instants a fixed-rate sender may precompute and
+    #: hand to ``NicPipeline.submit_train`` — the single train ingress
+    #: path that batched trace workloads use too — as one run-lane
+    #: train (DESIGN.md §7). A nonzero value is what marks a pipeline
+    #: as train-capable for both producers. Like ``fast_path`` it is
+    #: auto-disabled while tracing or metrics are on (and whenever
+    #: ``fast_path`` is off); 0 forces per-packet ingress. Observable
+    #: behaviour is identical either way.
     ingress_burst: int = 64
     #: Allow the fluid fast-forward lane (DESIGN.md §7): packets of
     #: quiescent flows — cache-hit label, no update due on the path,

@@ -20,7 +20,7 @@ queue's shared counter at the same moments the real path would create
 its resume events. Deferred steps are **flushed** — applied at their
 original virtual times, in kernel order — before anything can observe
 the affected state: at every later NIC arrival (and at ``submit``/
-burst-arrival admission, ahead of the buffer-pool read) and at end of
+train-arrival admission, ahead of the buffer-pool read) and at end of
 ``run()`` via the simulator's end hooks. Emissions and drops replay
 through ``TrafficManager._now_override`` / the pipeline's
 ``_drop_now_override`` so egress arithmetic, lazy sink deliveries and
@@ -63,11 +63,8 @@ workloads this repo runs (see DESIGN.md §7).
 
 from __future__ import annotations
 
-import heapq
 from heapq import heappop as _heappop, heappush as _heappush
-from typing import List, Optional
 
-from ..core.token_bucket import MeterColor
 from ..errors import BufferExhausted
 from ..net.boundary import BoundaryOutbox
 from ..net.packet import DropReason, Packet
@@ -81,13 +78,13 @@ class _FluidJob:
 
     __slots__ = ("packet", "ticket", "path", "size_bits", "lenders", "idx", "won")
 
-    def __init__(self, packet, ticket: int, path: List):
+    def __init__(self, packet, ticket: int, path: list, lenders: list | None):
         self.packet = packet
         self.ticket = ticket
         self.path = path
         self.size_bits = 0.0
         #: Flattened lender leaves (shared cached list), or None.
-        self.lenders: Optional[List] = None
+        self.lenders = lenders
         #: Cursor into ``lenders`` during the borrow walk.
         self.idx = 0
         #: Whether the current lender's update trylock was won.
@@ -217,210 +214,33 @@ class FluidLane:
         if not self._try_fluid(packet, now):
             self._spill(packet)
 
-    def burst_arrival(self, rec, t_emit: float) -> None:
-        """Fused run-item callback for burst ingress with the lane on:
-        ``NicPipeline._burst_arrival`` + :meth:`arrival` +
-        :meth:`_try_fluid` in one frame, with the per-packet callees
-        (micro flush, buffer admission, reorder ticket, defer) inlined
-        — at this event rate every call frame on the path is
-        measurable. Keep in lockstep with ``_burst_arrival`` and
-        :meth:`_try_fluid`; each inlined block names its source."""
+    def train_arrival(self, rec, i: int) -> None:
+        """Run-item callback for train ingress with the lane on: the
+        pipeline's ``_train_arrival`` + :meth:`arrival` in one frame.
+        Two per-packet callees stay inlined because calling them out
+        measured >=1% of hotpath wall each (DESIGN.md §7): the
+        ``PacketFactory`` mint and the buffer admission."""
         now = self._sim._now
         micro = self._micro
-        if micro and micro[0][0] <= now:  # inlined _flush(now)
-            while micro and micro[0][0] <= now:
-                tv, _, fn, jb = _heappop(micro)
-                fn(tv, jb)
+        if micro and micro[0][0] <= now:
+            # Matured fluid buffer returns must land in the pool before
+            # the admission below reads it.
+            self._flush(now)
         pipeline = self._pipeline
-        rec.seen += 1
-        if rec.seen == rec.n:
-            pipeline._ingress_bursts.remove(rec)
-        if t_emit > rec.cutoff:
-            return  # retired by congestion feedback before its instant
         rec.done += 1
+        if rec.done == rec.n:
+            pipeline._trains.remove(rec)
         pipeline._submitted += 1
-        conn_id = rec.conn_id
-        factory = rec.factory
-        if factory is not None:  # inlined PacketFactory.make
-            seq = factory._next_seq
-            factory._next_seq = seq + 1
-            factory.created += 1
-            packet = Packet(
-                seq, rec.size, rec.flow, t_emit, rec.app, rec.vf_index,
-                -1 if conn_id is None else conn_id,
-            )
-        elif conn_id is None:
-            packet = rec.make(
-                rec.size, rec.flow, t_emit, app=rec.app, vf_index=rec.vf_index
-            )
-        else:
-            packet = rec.make(
-                rec.size, rec.flow, t_emit,
-                app=rec.app, vf_index=rec.vf_index, conn_id=conn_id,
-            )
-        packet.nic_arrival = t_emit
-        # Inlined BufferPool.try_allocate_asof(t_emit).
-        buffers = self._buffers
-        pending = buffers._pending
-        if pending and pending[0] <= t_emit:
-            free = buffers._free
-            while pending and pending[0] <= t_emit:
-                _heappop(pending)
-                free += 1
-            if free > buffers.count:
-                raise BufferExhausted("buffer pool over-released")
-            buffers._free = free
-        free = buffers._free - 1
-        if free >= 0:
-            buffers._free = free
-            buffers._outstanding += 1
-            if free < buffers.min_free:
-                buffers.min_free = free
-        else:
-            buffers.exhaustion_drops += 1
-            pipeline._drop(packet, DropReason.NO_BUFFER, release_buffer=False)
-            return
-        dispatch = self._dispatch
-        if (
-            not self._active
-            and not dispatch._items
-            and len(dispatch._getters) == self._n_workers
-        ):
-            self._active = True
-        # ---- inlined _try_fluid(packet, now) -------------------------
-        if dispatch._items or len(dispatch._getters) <= self._live:
-            self._spill(packet)
-            return
-        cache = self._labeler.cache
-        if cache is None:
-            self._spill(packet)
-            return
-        entries = cache._entries
-        key = (packet.flow, packet.vf_index)
-        entry = entries.get(key)
-        if entry is None:
-            if not (self._absorb_miss and self._try_fluid_miss(packet, now)):
-                self._spill(packet)
-            return
-        t = now + self._c_label
-        label, stored_at = entry
-        timeout = cache.idle_timeout
-        if timeout and (t - stored_at) > timeout:
-            if not (self._absorb_miss and self._try_fluid_miss(packet, now)):
-                self._spill(packet)
-            return
-        scheduler = self._scheduler
-        hierarchy = label.hierarchy
-        path = scheduler.path_cache.entries.get(hierarchy)
-        if path is None:
-            self._spill(packet)
-            return
-        meta = self._path_meta.get(hierarchy)
-        if meta is None or meta[0] is not path:
-            meta = self._path_meta[hierarchy] = (
-                path,
-                [(n, n.params.update_interval, n.params.expire_after) for n in path],
-            )
-        t_walk = t + self._c_emc
-        for node, interval, expire in meta[1]:  # inlined is_quiescent_at
-            if node.updating:
-                self._spill(packet)
-                return
-            if t_walk - node.last_update >= interval:
-                self._spill(packet)
-                return
-            if t_walk - node.last_seen > expire:
-                self._spill(packet)
-                return
-        n_nodes = len(path)
-        walk = self._c_walk
-        c_walk = walk.get(n_nodes)
-        if c_walk is None:
-            costs = self._costs
-            c_walk = walk[n_nodes] = self._cycles(
-                n_nodes * (costs.sched_per_class + costs.update_trylock)
-            )
-        t2 = t_walk + c_walk
-        t2 += self._c_meter
-        horizon = self._sim._horizon
-        if self._carry > horizon:
-            horizon = self._carry  # window barrier: a pause, not an end
-        if t2 > horizon:
-            self._spill(packet)
-            return
-        lenders = None
-        if self._params.borrow_enabled and label.borrow:
-            lenders = self._lenders(label.borrow)
-            if lenders and t2 + self._lender_bound[label.borrow] > horizon:
-                self._spill(packet)
-                return
-        # --- absorbed: the worker's pre-yield effects -----------------
-        reorder = self._reorder
-        if reorder is not None:  # inlined ReorderBuffer.take_ticket
-            ticket = reorder._next_ticket
-            reorder._next_ticket = ticket + 1
-        else:
-            ticket = -1
-        if timeout:
-            entry[1] = t  # get()'s idle refresh, in place
-        entries.move_to_end(key)
-        cache.hits += 1
-        # Inlined label.apply_to(packet).
-        packet.hierarchy_label = label.hierarchy
-        packet.borrow_label = label.borrow
-        for node in path:  # inlined Scheduler.touch_path
-            if t_walk > node.last_seen:
-                node.last_seen = t_walk
-        scheduler.stats.updates_skipped += n_nodes
-        job = _FluidJob(packet, ticket, path)
-        job.lenders = lenders
-        self._live += 1
-        self.absorbed += 1
-        if self._active:  # inlined _defer, the hot branch
-            _heappush(
-                self._micro, (t2, next(self._queue._counter), self._meter_step, job)
-            )
-        else:
-            self._materialized += 1
-            self._queue.push(t2, self._run_mat, (self._meter_step, job))
-
-    def trace_arrival(self, rec, i: int) -> None:
-        """Fused run-item callback for multi-flow trace trains
-        (``NicPipeline.submit_trace``) with the lane on — the
-        :meth:`burst_arrival` twin with per-item ``flows[i]``/
-        ``sizes[i]`` instead of per-train constants, plus the EMC-miss
-        replay branch (``fluid_classify``): in the million-flow regime
-        every flow's first packet misses, and a spill would suspend
-        the lane per flow. Keep in lockstep with ``burst_arrival``;
-        each inlined block names its source."""
-        now = self._sim._now
-        micro = self._micro
-        if micro and micro[0][0] <= now:  # inlined _flush(now)
-            while micro and micro[0][0] <= now:
-                tv, _, fn, jb = _heappop(micro)
-                fn(tv, jb)
-        pipeline = self._pipeline
-        rec.seen += 1
-        if rec.seen == rec.n:
-            pipeline._ingress_bursts.remove(rec)
         t_emit = rec.times[i]
-        if t_emit > rec.cutoff:
-            return  # retired before its instant (unused by trace today)
-        rec.done += 1
-        pipeline._submitted += 1
-        flow = rec.flows[i]
-        size = rec.sizes[i]
         factory = rec.factory
         if factory is not None:  # inlined PacketFactory.make
             seq = factory._next_seq
             factory._next_seq = seq + 1
             factory.created += 1
-            packet = Packet(
-                seq, size, flow, t_emit, rec.app, rec.vf_index, -1
-            )
+            packet = Packet(seq, rec.sizes[i], rec.flows[i], t_emit, rec.app, rec.vf_index)
         else:
             packet = rec.make(
-                size, flow, t_emit, app=rec.app, vf_index=rec.vf_index
+                rec.sizes[i], rec.flows[i], t_emit, app=rec.app, vf_index=rec.vf_index
             )
         packet.nic_arrival = t_emit
         # Inlined BufferPool.try_allocate_asof(t_emit).
@@ -442,111 +262,16 @@ class FluidLane:
                 buffers.min_free = free
         else:
             buffers.exhaustion_drops += 1
+            # Same decision the per-packet route takes at t_emit, but
+            # recorded at arrival (t_emit + DMA latency), see DESIGN.md §7.
             pipeline._drop(packet, DropReason.NO_BUFFER, release_buffer=False)
             return
-        dispatch = self._dispatch
-        if (
-            not self._active
-            and not dispatch._items
-            and len(dispatch._getters) == self._n_workers
-        ):
-            self._active = True
-        # ---- inlined _try_fluid(packet, now) -------------------------
-        if dispatch._items or len(dispatch._getters) <= self._live:
+        if not self._active:
+            dispatch = self._dispatch
+            if not dispatch._items and len(dispatch._getters) == self._n_workers:
+                self._active = True
+        if not self._try_fluid(packet, now):
             self._spill(packet)
-            return
-        cache = self._labeler.cache
-        if cache is None:
-            self._spill(packet)
-            return
-        entries = cache._entries
-        key = (flow, rec.vf_index)
-        entry = entries.get(key)
-        if entry is None:
-            if not (self._absorb_miss and self._try_fluid_miss(packet, now)):
-                self._spill(packet)
-            return
-        t = now + self._c_label
-        label, stored_at = entry
-        timeout = cache.idle_timeout
-        if timeout and (t - stored_at) > timeout:
-            if not (self._absorb_miss and self._try_fluid_miss(packet, now)):
-                self._spill(packet)
-            return
-        scheduler = self._scheduler
-        hierarchy = label.hierarchy
-        path = scheduler.path_cache.entries.get(hierarchy)
-        if path is None:
-            self._spill(packet)
-            return
-        meta = self._path_meta.get(hierarchy)
-        if meta is None or meta[0] is not path:
-            meta = self._path_meta[hierarchy] = (
-                path,
-                [(n, n.params.update_interval, n.params.expire_after) for n in path],
-            )
-        t_walk = t + self._c_emc
-        for node, interval, expire in meta[1]:  # inlined is_quiescent_at
-            if node.updating:
-                self._spill(packet)
-                return
-            if t_walk - node.last_update >= interval:
-                self._spill(packet)
-                return
-            if t_walk - node.last_seen > expire:
-                self._spill(packet)
-                return
-        n_nodes = len(path)
-        walk = self._c_walk
-        c_walk = walk.get(n_nodes)
-        if c_walk is None:
-            costs = self._costs
-            c_walk = walk[n_nodes] = self._cycles(
-                n_nodes * (costs.sched_per_class + costs.update_trylock)
-            )
-        t2 = t_walk + c_walk
-        t2 += self._c_meter
-        horizon = self._sim._horizon
-        if self._carry > horizon:
-            horizon = self._carry  # window barrier: a pause, not an end
-        if t2 > horizon:
-            self._spill(packet)
-            return
-        lenders = None
-        if self._params.borrow_enabled and label.borrow:
-            lenders = self._lenders(label.borrow)
-            if lenders and t2 + self._lender_bound[label.borrow] > horizon:
-                self._spill(packet)
-                return
-        # --- absorbed: the worker's pre-yield effects -----------------
-        reorder = self._reorder
-        if reorder is not None:  # inlined ReorderBuffer.take_ticket
-            ticket = reorder._next_ticket
-            reorder._next_ticket = ticket + 1
-        else:
-            ticket = -1
-        if timeout:
-            entry[1] = t  # get()'s idle refresh, in place
-        entries.move_to_end(key)
-        cache.hits += 1
-        # Inlined label.apply_to(packet).
-        packet.hierarchy_label = label.hierarchy
-        packet.borrow_label = label.borrow
-        for node in path:  # inlined Scheduler.touch_path
-            if t_walk > node.last_seen:
-                node.last_seen = t_walk
-        scheduler.stats.updates_skipped += n_nodes
-        job = _FluidJob(packet, ticket, path)
-        job.lenders = lenders
-        self._live += 1
-        self.absorbed += 1
-        if self._active:  # inlined _defer, the hot branch
-            _heappush(
-                self._micro, (t2, next(self._queue._counter), self._meter_step, job)
-            )
-        else:
-            self._materialized += 1
-            self._queue.push(t2, self._run_mat, (self._meter_step, job))
 
     def _spill(self, packet) -> None:
         """An ineligible packet: leave engaged mode (materialising any
@@ -587,10 +312,10 @@ class FluidLane:
         False (no state touched) when it must take the real path.
 
         The read-only checks mirror the elided branch of
-        ``handle_fast`` term for term; the mutations that follow
-        replicate the worker's pre-yield effects in the worker's exact
-        order (ticket, EMC hit bookkeeping, label stamp, early path
-        touch, skip counting) with the same float expressions.
+        ``handle_fast`` term for term; the mutations replicate the
+        worker's pre-yield effects (ticket, EMC hit bookkeeping, label
+        stamp, early path touch, skip counting) with the same float
+        expressions.
         """
         dispatch = self._dispatch
         if dispatch._items or len(dispatch._getters) <= self._live:
@@ -616,70 +341,18 @@ class FluidLane:
         if timeout and (t - stored_at) > timeout:
             # Idle-expired: the real get() would miss — same replay.
             return self._absorb_miss and self._try_fluid_miss(packet, now)
-        scheduler = self._scheduler
-        path = scheduler.path_cache.entries.get(label.hierarchy)
+        path = self._scheduler.path_cache.entries.get(label.hierarchy)
         if path is None:
             return False
-        t_walk = t + self._c_emc
-        # Inlined ClassNode.is_quiescent_at — three conditions per
-        # class, checked in the fast handler's short-circuit order.
-        for node in path:
-            if node.updating:
-                return False
-            p = node.params
-            if t_walk - node.last_update >= p.update_interval:
-                return False
-            if t_walk - node.last_seen > p.expire_after:
-                return False
-        n_nodes = len(path)
-        walk = self._c_walk
-        c_walk = walk.get(n_nodes)
-        if c_walk is None:
-            costs = self._costs
-            c_walk = walk[n_nodes] = self._cycles(
-                n_nodes * (costs.sched_per_class + costs.update_trylock)
-            )
-        t2 = t_walk + c_walk
-        t2 += self._c_meter
-        horizon = self._sim._horizon
-        if self._carry > horizon:
-            horizon = self._carry  # window barrier: a pause, not an end
-        if t2 > horizon:
-            return False  # handle_fast would keep the slow wakeups
-        lenders = None
-        if self._params.borrow_enabled and label.borrow:
-            lenders = self._lenders(label.borrow)
-            if lenders and t2 + self._lender_bound[label.borrow] > horizon:
-                # Worst case every lender wins its update trylock. The
-                # precomputed bound over-approximates the real chain's
-                # rounded step-by-step adds (see _lenders), so it can
-                # only spill a borderline packet to the real path —
-                # behavior-neutral by construction — never absorb one
-                # whose chain would outrun the horizon.
-                return False
-        # --- absorbed: the worker's pre-yield effects -----------------
-        reorder = self._reorder
-        ticket = reorder.take_ticket() if reorder is not None else -1
+        if not self._absorb(packet, label, path, t + self._c_emc):
+            return False
         if timeout:
             entry[1] = t  # get()'s idle refresh, in place
         entries.move_to_end(key)
         cache.hits += 1
-        label.apply_to(packet)
-        for node in path:  # inlined Scheduler.touch_path
-            if t_walk > node.last_seen:
-                node.last_seen = t_walk
-        scheduler.stats.updates_skipped += n_nodes
-        job = _FluidJob(packet, ticket, path)
-        job.lenders = lenders
-        self._live += 1
-        self.absorbed += 1
-        if self._active:  # inlined _defer, the hot branch
-            heapq.heappush(
-                self._micro, (t2, next(self._queue._counter), self._meter_step, job)
-            )
-        else:
-            self._materialized += 1
-            self._queue.push(t2, self._run_mat, (self._meter_step, job))
+        # Inlined label.apply_to(packet): ~1.1% of hotpath wall as a call.
+        packet.hierarchy_label = label.hierarchy
+        packet.borrow_label = label.borrow
         return True
 
     def _try_fluid_miss(self, packet, now: float) -> bool:
@@ -720,7 +393,6 @@ class FluidLane:
                 costs.emc_hit
                 + costs.classify_per_rule * max(1, len(labeler.classifier))
             )
-        t_walk = t + c_miss
         scheduler = self._scheduler
         hierarchy = label.hierarchy
         path = scheduler.path_cache.entries.get(hierarchy)
@@ -730,13 +402,45 @@ class FluidLane:
             # memoises through the real PathCache (counter included).
             tree = scheduler.tree
             path = [tree.node(classid) for classid in hierarchy]
-        for node in path:  # inlined is_quiescent_at, as the hit path
+        if not self._absorb(packet, label, path, t + c_miss):
+            return False
+        # The real, counted walk at the label timestamp: get-miss (or
+        # expiry), classify, cache.put with its eviction/expiry
+        # decision, label stamp — LabelingFunction.label is the exact
+        # code the fast handler runs.
+        labeler.label(packet, t)
+        if not resolved:
+            scheduler.path_cache.resolve(scheduler.tree, hierarchy)
+        self.miss_absorbed += 1
+        return True
+
+    def _absorb(self, packet, label, path: list, t_walk: float) -> bool:
+        """The gate and absorb tail shared by the EMC hit and miss paths.
+
+        Gate (read-only): every class on *path* quiescent at the walk
+        time *t_walk*, and the whole worst-case decision inside the run
+        horizon. On a pass, performs the worker's pre-yield effects
+        that do not depend on how the label was found — reorder ticket,
+        early path touch, skip counting — and defers the meter step.
+        The caller then applies its own label bookkeeping; none of it
+        reads or writes what this tail touches, so the split order is
+        behaviour-neutral.
+        """
+        hierarchy = label.hierarchy
+        meta = self._path_meta.get(hierarchy)
+        if meta is None or meta[0] is not path:
+            meta = self._path_meta[hierarchy] = (
+                path,
+                [(n, n.params.update_interval, n.params.expire_after) for n in path],
+            )
+        # Inlined ClassNode.is_quiescent_at — three conditions per
+        # class, checked in the fast handler's short-circuit order.
+        for node, interval, expire in meta[1]:
             if node.updating:
                 return False
-            p = node.params
-            if t_walk - node.last_update >= p.update_interval:
+            if t_walk - node.last_update >= interval:
                 return False
-            if t_walk - node.last_seen > p.expire_after:
+            if t_walk - node.last_seen > expire:
                 return False
         n_nodes = len(path)
         walk = self._c_walk
@@ -750,39 +454,32 @@ class FluidLane:
         t2 += self._c_meter
         horizon = self._sim._horizon
         if self._carry > horizon:
-            horizon = self._carry
+            horizon = self._carry  # window barrier: a pause, not an end
         if t2 > horizon:
             return False  # handle_fast would keep the slow wakeups
         lenders = None
         if self._params.borrow_enabled and label.borrow:
             lenders = self._lenders(label.borrow)
             if lenders and t2 + self._lender_bound[label.borrow] > horizon:
+                # Worst case every lender wins its update trylock. The
+                # precomputed bound over-approximates the real chain's
+                # rounded step-by-step adds (see _lenders), so it can
+                # only spill a borderline packet to the real path —
+                # behavior-neutral by construction — never absorb one
+                # whose chain would outrun the horizon.
                 return False
         # --- absorbed: the worker's pre-yield effects -----------------
         reorder = self._reorder
-        if reorder is not None:
-            ticket = reorder._next_ticket
-            reorder._next_ticket = ticket + 1
-        else:
-            ticket = -1
-        # The real, counted walk at the label timestamp: get-miss (or
-        # expiry), classify, cache.put with its eviction/expiry
-        # decision, label stamp — LabelingFunction.label is the exact
-        # code the fast handler runs.
-        labeler.label(packet, t)
-        if resolved:
-            shared = path
-        else:
-            shared = scheduler.path_cache.resolve(scheduler.tree, hierarchy)
-        for node in shared:  # inlined Scheduler.touch_path
+        ticket = reorder.take_ticket() if reorder is not None else -1
+        for node in path:  # inlined Scheduler.touch_path
             if t_walk > node.last_seen:
                 node.last_seen = t_walk
-        scheduler.stats.updates_skipped += n_nodes
-        job = _FluidJob(packet, ticket, shared)
-        job.lenders = lenders
+        self._scheduler.stats.updates_skipped += n_nodes
+        job = _FluidJob(packet, ticket, path, lenders)
         self._live += 1
         self.absorbed += 1
-        self.miss_absorbed += 1
+        # Inlined _defer: one call per absorbed packet measured ~1.5%
+        # of hotpath wall (DESIGN.md §7).
         if self._active:
             _heappush(
                 self._micro, (t2, next(self._queue._counter), self._meter_step, job)
@@ -819,7 +516,7 @@ class FluidLane:
         # path would create its resume event, so (time, seq) ordering —
         # including exact ties — matches the real interleaving.
         if self._active:
-            heapq.heappush(self._micro, (t, next(self._queue._counter), fn, job))
+            _heappush(self._micro, (t, next(self._queue._counter), fn, job))
         else:
             self._materialized += 1
             self._queue.push(t, self._run_mat, (fn, job))
@@ -841,9 +538,8 @@ class FluidLane:
         (time, seq) order. Handlers may defer follow-up steps; the heap
         keeps the combined order."""
         micro = self._micro
-        heappop = heapq.heappop
         while micro and micro[0][0] <= limit:
-            tv, _, fn, job = heappop(micro)
+            tv, _, fn, job = _heappop(micro)
             fn(tv, job)
 
     def _suspend(self) -> None:
@@ -858,15 +554,14 @@ class FluidLane:
         self.suspends += 1
         push = self._queue.push
         run_mat = self._run_mat
-        heappop = heapq.heappop
         n = 0
         while micro:
-            tv, _, fn, job = heappop(micro)
+            tv, _, fn, job = _heappop(micro)
             push(tv, run_mat, (fn, job))
             n += 1
         self._materialized += n
 
-    def _pending_time(self) -> Optional[float]:
+    def _pending_time(self) -> float | None:
         micro = self._micro
         if not micro:
             return None
@@ -910,9 +605,9 @@ class FluidLane:
     def _borrow_try(self, tv: float, job: _FluidJob) -> None:
         """Probe the current lender's update trylock at ``tv`` (the
         flag-hold window starts here, exactly as in the real walk) and
-        defer the post-yield settle. The trylock gate and the defer are
-        inlined (ClassNode.try_begin_update / :meth:`_defer`) — this
-        runs once per red packet per lender probed."""
+        defer the post-yield settle. The trylock gate is inlined
+        (ClassNode.try_begin_update) — this runs once per red packet
+        per lender probed."""
         lender = job.lenders[job.idx]
         if lender.updating or tv - lender.last_update < lender.params.update_interval:
             job.won = False
@@ -921,13 +616,7 @@ class FluidLane:
             lender.updating = True
             job.won = True
             t = tv + self._c_borrow_won
-        if self._active:
-            _heappush(
-                self._micro, (t, next(self._queue._counter), self._borrow_settle, job)
-            )
-        else:
-            self._materialized += 1
-            self._queue.push(t, self._run_mat, (self._borrow_settle, job))
+        self._defer(t, self._borrow_settle, job)
 
     def _borrow_settle(self, tv: float, job: _FluidJob) -> None:
         """After the borrow yield: run the won update, query the shadow
@@ -1054,11 +743,7 @@ class FluidLane:
             finally:
                 tm._now_override = None
                 pipeline._drop_now_override = None
-        # Inlined _job_done(job).
-        self._live -= 1
-        dispatch = self._dispatch
-        if dispatch._items and dispatch._getters:
-            self._job_handoff(dispatch)
+        self._job_done()
 
     def _finish_drop(self, tv: float, job: _FluidJob) -> None:
         stats = self._scheduler.stats
@@ -1084,11 +769,7 @@ class FluidLane:
             buffers = self._buffers
             buffers._outstanding -= 1
             _heappush(buffers._pending, tv + buffers.recycle_delay)
-            # Inlined _job_done(job).
-            self._live -= 1
-            dispatch = self._dispatch
-            if dispatch._items and dispatch._getters:
-                self._job_handoff(dispatch)
+            self._job_done()
             return
         tm = self._tm
         tm._now_override = tv
@@ -1099,9 +780,9 @@ class FluidLane:
         finally:
             tm._now_override = None
             pipeline._drop_now_override = None
-        self._job_done(job)
+        self._job_done()
 
-    def _job_done(self, job: _FluidJob) -> None:
+    def _job_done(self) -> None:
         self._live -= 1
         dispatch = self._dispatch
         if dispatch._items and dispatch._getters:

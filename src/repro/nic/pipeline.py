@@ -32,45 +32,40 @@ from .traffic_manager import TrafficManager
 
 __all__ = ["NicPipeline"]
 
-_INF = float("inf")
 
+class _Train:
+    """One precomputed emission train (DESIGN.md §7, §12).
 
-class _IngressBurst:
-    """Bookkeeping for one precomputed emission train (DESIGN.md §7).
+    Every batched producer hands the NIC this one shape: ascending
+    emission instants with parallel per-item ``flows``/``sizes``. A
+    fixed-rate burst is a train whose flows and sizes repeat a single
+    value; a trace window pre-merges many flows' instants into one
+    train (a million single-packet flows would otherwise cost a million
+    one-item trains and a quadratic merge into the shared ingress run).
 
     Shared between the pipeline (arrival cursor) and the submitting
     sender (lazy sent-packet counting): emissions whose instant has
     passed count as sent even before their DMA-completion run item
-    executes, and a congestion-feedback ``cutoff`` retires every
-    emission strictly after it.
+    executes.
     """
 
     __slots__ = (
-        "times", "cutoff", "done", "seen",
-        "make", "size", "flow", "app", "vf_index", "conn_id", "n", "factory",
+        "times", "flows", "sizes", "done", "make", "app", "vf_index", "n", "factory",
     )
 
-    def __init__(
-        self, times: List[float], make, size, flow, app, vf_index, conn_id
-    ):
+    def __init__(self, times: List[float], flows, sizes, make, app, vf_index):
         #: Ascending emission instants of this train.
         self.times = times
-        #: Emissions strictly after this instant are retired (TCP
-        #: feedback rolls back the tail of an in-flight train).
-        self.cutoff = _INF
-        #: Arrival items executed and admitted (not retired).
+        self.flows = flows
+        self.sizes = sizes
+        #: Arrival items executed.
         self.done = 0
-        #: Run items executed, including retired ones.
-        self.seen = 0
         # Per-train constants of every arrival item, carried here so a
-        # run item is just ``(rec, t_emit)`` — the arrival callback is
-        # the hottest argument unpack in the simulator.
+        # run item is just ``(rec, i)`` — the arrival callback is the
+        # hottest argument unpack in the simulator.
         self.make = make
-        self.size = size
-        self.flow = flow
         self.app = app
         self.vf_index = vf_index
-        self.conn_id = conn_id
         self.n = len(times)
         #: The plain PacketFactory behind ``make``, or None when the
         #: maker is custom — lets the fluid lane mint packets without
@@ -85,57 +80,12 @@ class _IngressBurst:
         )
 
     def count_at(self, now: float) -> int:
-        """Valid emissions with instant <= min(now, cutoff)."""
-        cutoff = self.cutoff
-        limit = now if now < cutoff else cutoff
-        return bisect_right(self.times, limit)
+        """Emissions with instant <= now."""
+        return bisect_right(self.times, now)
 
     def settled(self, now: float) -> bool:
         """True when no future clock advance can change count_at."""
-        return self.cutoff <= now or self.times[-1] <= now
-
-
-class _TraceTrain:
-    """One multi-flow emission train from a trace workload window.
-
-    The :class:`_IngressBurst` analogue for batched trace generation
-    (DESIGN.md §12): a window's emissions across *many* flows arrive
-    pre-merged by time, with parallel per-item ``flows``/``sizes``
-    arrays instead of per-train constants — a million single-packet
-    flows would otherwise cost a million one-item trains and a
-    quadratic merge into the shared ingress run. Lazy-counting
-    protocol (``count_at``/``settled``/``done``) matches
-    ``_IngressBurst`` so ``NicPipeline.submitted`` folds both alike.
-    Trace trains carry no congestion feedback: ``cutoff`` stays +inf.
-    """
-
-    __slots__ = (
-        "times", "flows", "sizes", "cutoff", "done", "seen",
-        "make", "app", "vf_index", "n", "factory",
-    )
-
-    def __init__(self, times: List[float], flows, sizes, make, app, vf_index):
-        self.times = times
-        self.flows = flows
-        self.sizes = sizes
-        self.cutoff = _INF
-        self.done = 0
-        self.seen = 0
-        self.make = make
-        self.app = app
-        self.vf_index = vf_index
-        self.n = len(times)
-        maker = getattr(make, "__self__", None)
-        self.factory = (
-            maker
-            if maker is not None
-            and maker.__class__ is PacketFactory
-            and getattr(make, "__func__", None) is PacketFactory.make
-            else None
-        )
-
-    count_at = _IngressBurst.count_at
-    settled = _IngressBurst.settled
+        return self.times[-1] <= now
 
 
 class NicPipeline:
@@ -187,7 +137,7 @@ class NicPipeline:
         #: buffer-return fast path (bit-identical to the slow path).
         self.fast_path = fast
         #: Max emissions per precomputed ingress train; 0 disables
-        #: burst ingress (slow path, tracing, metrics, or config).
+        #: train ingress (slow path, tracing, metrics, or config).
         self.ingress_burst = config.ingress_burst if fast else 0
         # Lazy sink deliveries: when the fast path is on and the
         # receiver is a plain PacketSink with no delivery hook, link
@@ -227,7 +177,7 @@ class NicPipeline:
             )
         # --- statistics ------------------------------------------------
         self._submitted = 0
-        self._ingress_bursts: List[_IngressBurst] = []
+        self._trains: List[_Train] = []
         self.forwarded = 0
         self.dropped = 0
         self.drops_by_reason = {reason: 0 for reason in DropReason}
@@ -276,8 +226,8 @@ class NicPipeline:
         # per-drop callback. Anything else falls back to the per-packet
         # fast path, which is the reference it must match bit for bit.
         self._fluid = None
-        #: Shared ingress run merging every sender's burst train while
-        #: the fluid lane is on (see :meth:`submit_burst`).
+        #: Shared ingress run merging every sender's train while the
+        #: fluid lane is on (see :meth:`submit_train`).
         self._ingress_run = None
         if (
             config.fluid
@@ -315,16 +265,16 @@ class NicPipeline:
     def submitted(self) -> int:
         """Packets offered to the NIC up to the current time.
 
-        With burst ingress, emissions whose instant has passed but
+        With train ingress, emissions whose instant has passed but
         whose DMA-completion run item has not executed yet still count
         (lazy, like the sink tallies) — so the counter reads the same
         as the per-packet route at any observation point.
         """
         n = self._submitted
-        bursts = self._ingress_bursts
-        if bursts:
+        trains = self._trains
+        if trains:
             now = self.sim._now
-            for rec in bursts:
+            for rec in trains:
                 n += rec.count_at(now) - rec.done
         return n
 
@@ -351,54 +301,7 @@ class NicPipeline:
         self.sim.schedule(self.config.rx_dma_latency, self._arrive_dma, packet)
         return True
 
-    def submit_burst(
-        self,
-        make: Callable[..., Packet],
-        times: List[float],
-        packet_size: int,
-        flow,
-        app: str,
-        vf_index: int,
-        conn_id: Optional[int] = None,
-    ) -> _IngressBurst:
-        """Offer a precomputed train of future emissions in one call.
-
-        *times* are ascending absolute emission instants (>= now). The
-        whole train's DMA completions enter the kernel as a single
-        run-lane entry (``EventQueue.push_run``): one heap operation
-        for the burst instead of one event per packet. Admission — the
-        buffer-allocation decision and any NO_BUFFER drop — stays a
-        per-arrival decision, taken as of each emission instant
-        (``BufferPool.try_allocate_asof``); packets are created inside
-        the arrival items so factory sequence numbers are assigned in
-        arrival order, exactly as per-packet ``submit`` would.
-
-        Returns the shared :class:`_IngressBurst` record; the sender
-        uses it for lazy sent-packet counting and (TCP) to retire the
-        unsent tail of the train on congestion feedback via ``cutoff``.
-        """
-        rec = _IngressBurst(times, make, packet_size, flow, app, vf_index, conn_id)
-        self._ingress_bursts.append(rec)
-        latency = self.config.rx_dma_latency
-        fluid = self._fluid
-        # With the lane on, the whole arrival chain runs in one fused
-        # frame (flush + admission + absorb) — see FluidLane.
-        arrive = self._burst_arrival if fluid is None else fluid.burst_arrival
-        entries = [(t + latency, arrive, (rec, t)) for t in times]
-        if self._fluid is not None:
-            # Fluid lane on: merge every sender's train into ONE shared
-            # run so concurrent senders stop shredding each other's
-            # trains into per-item drain segments (item (time, seq)
-            # order — and hence behavior — is unchanged; only the
-            # executed-event count drops). Off, each burst keeps its
-            # own run so the fallback reproduces the PR 5 counts
-            # exactly.
-            self.sim._queue.merge_run(self.ingress_run(), entries)
-        else:
-            self.sim._queue.push_run(entries)
-        return rec
-
-    def submit_trace(
+    def submit_train(
         self,
         make: Callable[..., Packet],
         times: List[float],
@@ -406,31 +309,39 @@ class NicPipeline:
         sizes: List[int],
         app: str,
         vf_index: int = 0,
-    ) -> _TraceTrain:
-        """Offer one window's multi-flow emission train in one call.
+    ) -> _Train:
+        """Offer a precomputed train of future emissions in one call.
 
         *times* are ascending absolute emission instants (>= now), with
-        parallel *flows* (five-tuples) and *sizes* (minted packet
-        sizes) — the batched trace workload pre-merges every active
-        flow's instants for the window and hands the NIC a single
-        train, so ingress costs one run merge per *window* instead of
-        one heap event per packet (or one train per flow, whose
-        interleaved merges into the shared run would be quadratic in
-        the flow count). Admission and packet minting follow the
-        ``submit_burst`` contract: per-arrival buffer decisions as-of
-        each instant, factory sequence numbers in arrival order.
+        parallel *flows* (five-tuples) and *sizes* (packet sizes). The
+        whole train's DMA completions enter the kernel as a single
+        run-lane entry (``EventQueue.push_run``): one heap operation
+        for the train instead of one event per packet. Admission — the
+        buffer-allocation decision and any NO_BUFFER drop — stays a
+        per-arrival decision, taken as of each emission instant
+        (``BufferPool.try_allocate_asof``); packets are created inside
+        the arrival items so factory sequence numbers are assigned in
+        arrival order, exactly as per-packet ``submit`` would.
+
+        Returns the shared :class:`_Train` record; the sender uses it
+        for lazy sent-packet counting.
         """
-        rec = _TraceTrain(times, flows, sizes, make, app, vf_index)
-        self._ingress_bursts.append(rec)
+        rec = _Train(times, flows, sizes, make, app, vf_index)
+        self._trains.append(rec)
         latency = self.config.rx_dma_latency
         fluid = self._fluid
-        arrive = self._trace_arrival if fluid is None else fluid.trace_arrival
-        entries = [
-            (times[i] + latency, arrive, (rec, i)) for i in range(rec.n)
-        ]
+        # With the lane on, the whole arrival chain runs in one frame
+        # (flush + admission + absorb) — see FluidLane.train_arrival.
+        arrive = self._train_arrival if fluid is None else fluid.train_arrival
+        entries = [(t + latency, arrive, (rec, i)) for i, t in enumerate(times)]
         if fluid is not None:
-            # One shared run per pipeline, as in submit_burst — window
-            # trains append in time order, so each merge is O(window).
+            # Fluid lane on: merge every producer's train into ONE
+            # shared run so concurrent senders stop shredding each
+            # other's trains into per-item drain segments (item (time,
+            # seq) order — and hence behavior — is unchanged; only the
+            # executed-event count drops). Trains append in time order,
+            # so each merge is O(train). Off, each train keeps its own
+            # run so the fluid-off event counts stay exactly as pinned.
             self.sim._queue.merge_run(self.ingress_run(), entries)
         else:
             self.sim._queue.push_run(entries)
@@ -440,7 +351,7 @@ class NicPipeline:
         """The shared fluid-mode ingress run, created/revived on demand.
 
         Every producer that feeds this pipeline while the fluid lane is
-        on — local burst senders and remote barrier trains alike —
+        on — local train senders and remote barrier trains alike —
         merges into this one run, so concurrent arrival streams cost
         one drained segment instead of shredding each other into
         per-item heap pops.
@@ -450,61 +361,22 @@ class NicPipeline:
             run = self._ingress_run = EventRun()
         return run
 
-    def _burst_arrival(self, rec: _IngressBurst, t_emit: float) -> None:
-        fluid = self._fluid
-        if fluid is not None:
-            # As in submit(): matured fluid buffer returns must land in
-            # the pool before try_allocate_asof(t_emit) below.
-            micro = fluid._micro
-            if micro and micro[0][0] <= self.sim._now:
-                fluid._flush(self.sim._now)
-        rec.seen += 1
-        if rec.seen == rec.n:
-            self._ingress_bursts.remove(rec)
-        if t_emit > rec.cutoff:
-            return  # retired by congestion feedback before its instant
+    def _train_arrival(self, rec: _Train, i: int) -> None:
+        """Per-item DMA completion of a train (fluid lane off — with the
+        lane on, :meth:`FluidLane.train_arrival` takes its place)."""
         rec.done += 1
+        if rec.done == rec.n:
+            self._trains.remove(rec)
         self._submitted += 1
-        conn_id = rec.conn_id
-        if conn_id is None:
-            packet = rec.make(
-                rec.size, rec.flow, t_emit, app=rec.app, vf_index=rec.vf_index
-            )
-        else:
-            packet = rec.make(
-                rec.size, rec.flow, t_emit,
-                app=rec.app, vf_index=rec.vf_index, conn_id=conn_id,
-            )
-        packet.nic_arrival = t_emit
-        if not self.buffers.try_allocate_asof(t_emit):
-            # Same decision the per-packet route takes at t_emit; the
-            # drop is *recorded* here at arrival (t_emit + DMA latency)
-            # — the only burst-mode timing shift, see DESIGN.md §7.
-            self._drop(packet, DropReason.NO_BUFFER, release_buffer=False)
-            return
-        self._arrive_dma(packet)
-
-    def _trace_arrival(self, rec: _TraceTrain, i: int) -> None:
-        """Per-item DMA completion of a trace train (fluid lane off —
-        with the lane on :meth:`FluidLane.trace_arrival` fuses this)."""
-        fluid = self._fluid
-        if fluid is not None:
-            micro = fluid._micro
-            if micro and micro[0][0] <= self.sim._now:
-                fluid._flush(self.sim._now)
-        rec.seen += 1
-        if rec.seen == rec.n:
-            self._ingress_bursts.remove(rec)
         t_emit = rec.times[i]
-        if t_emit > rec.cutoff:
-            return
-        rec.done += 1
-        self._submitted += 1
         packet = rec.make(
             rec.sizes[i], rec.flows[i], t_emit, app=rec.app, vf_index=rec.vf_index
         )
         packet.nic_arrival = t_emit
         if not self.buffers.try_allocate_asof(t_emit):
+            # Same decision the per-packet route takes at t_emit; the
+            # drop is *recorded* here at arrival (t_emit + DMA latency)
+            # — the only train-mode timing shift, see DESIGN.md §7.
             self._drop(packet, DropReason.NO_BUFFER, release_buffer=False)
             return
         self._arrive_dma(packet)
