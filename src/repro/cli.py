@@ -124,7 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--metrics", metavar="PATH", default=None,
-        help="write periodic metrics snapshots as JSONL (implies --nic)",
+        help="write 100 periodic metrics snapshots per run as JSONL "
+             "(implies --nic unless --workload is given); the NIC keeps "
+             "its fast engine, so the rows equal a traced run's",
     )
     simulate.add_argument(
         "--trace-limit", type=int, default=0,
@@ -172,8 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-fluid", action="store_true",
         help="disable the fluid fast-forward lane (NicConfig.fluid=False). "
              "Every reported tally is bit-identical either way — the lane "
-             "only cuts kernel events — so diffing the two stdouts is a "
-             "determinism check (the CI fabric fluid-smoke step)",
+             "only cuts kernel events — so diffing the two stdouts (minus "
+             "the single-NIC 'engine:' line) is a determinism check (the "
+             "CI fabric fluid-smoke step)",
     )
 
     bench = sub.add_parser(
@@ -347,11 +350,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 "engine feeds the full DES NIC pipeline); "
                 f"--scheduler {args.scheduler} runs the crossbar runtime"
             )
-        if args.trace or args.metrics:
+        if args.trace:
             raise ReproError(
-                "--trace/--metrics are not supported with --workload "
-                "(the trace engine's lazy trains bypass per-event "
-                "observability by design)"
+                "--trace is not supported with --workload (tracing forces "
+                "the per-packet engine; --metrics observes the fluid one)"
             )
         return _cmd_simulate_workload(args, policy, link, demands)
     if args.hosts > 1 or args.shards > 1:
@@ -492,20 +494,32 @@ def _cmd_simulate_nic(args: argparse.Namespace, policy, link: float, demands: Di
         )
     total = sink.total_bytes * 8 / elapsed * setup.scale
     print(f"  {'total':>8s}: {format_rate(total):>12s}")
-    print(f"  {nic.stats_summary()}")
+    _print_nic_summary(nic)
     if built.tracer is not None:
         count = built.tracer.to_jsonl(args.trace)
         print(f"  trace: {count} records -> {args.trace}")
     if built.registry is not None:
-        if built.sampler is not None and args.duration > 0:
-            built.sampler.sample()  # final snapshot at t=end
-            count = built.sampler.to_jsonl(args.metrics)
-        else:
-            from .stats.metrics import write_jsonl
-
-            count = write_jsonl(args.metrics, [{"time": sim.now, **built.registry.snapshot()}])
-        print(f"  metrics: {count} snapshots -> {args.metrics}")
+        sampler = built.sampler if args.duration > 0 else None
+        _write_metrics(args.metrics, sim, built.registry, sampler)
     return 0
+
+
+def _print_nic_summary(nic) -> None:
+    for line in nic.stats_summary().splitlines():
+        print(f"  {line}")
+
+
+def _write_metrics(path: str, sim, registry, sampler) -> None:
+    """Write the sampled rows plus a final snapshot at t=end (or just
+    that snapshot when nothing was sampled) and report the count."""
+    from .stats.metrics import write_jsonl
+
+    if sampler is not None:
+        sampler.sample()
+        count = sampler.to_jsonl(path)
+    else:
+        count = write_jsonl(path, [{"time": sim.now, **registry.snapshot()}])
+    print(f"  metrics: {count} snapshots -> {path}")
 
 
 def _cmd_simulate_workload(args: argparse.Namespace, policy, link: float, demands: Dict[str, float]) -> int:
@@ -526,11 +540,13 @@ def _cmd_simulate_workload(args: argparse.Namespace, policy, link: float, demand
     from .net import PacketSink
     from .nic import NicPipeline
     from .sim import Simulator
+    from .stats.metrics import MetricsRegistry, MetricsSampler
 
     if args.scale <= 0:
         raise ReproError(f"--scale must be positive, got {args.scale}")
     setup = ScaledSetup.for_link(link, scale=args.scale, seed=args.seed)
-    sim = Simulator(seed=setup.seed)
+    registry = MetricsRegistry() if args.metrics else None
+    sim = Simulator(seed=setup.seed, metrics=registry)
     frontend = FlowValveFrontend(
         policy, link_rate_bps=setup.link_bps, params=setup.sched_params()
     )
@@ -558,6 +574,9 @@ def _cmd_simulate_workload(args: argparse.Namespace, policy, link: float, demand
         )
         for index, app in enumerate(sorted(demands))
     ]
+    sampler = None
+    if registry is not None and args.duration > 0:
+        sampler = MetricsSampler(sim, registry, interval=args.duration / 100.0)
     sim.run(until=args.duration)
 
     elapsed = args.duration if args.duration > 0 else float("inf")
@@ -584,7 +603,9 @@ def _cmd_simulate_workload(args: argparse.Namespace, policy, link: float, demand
         f"  delay: p50={delay.p50 * 1e6:.1f}us p99={delay.p99 * 1e6:.1f}us "
         f"(nominal, sketch)"
     )
-    print(f"  {nic.stats_summary()}")
+    _print_nic_summary(nic)
+    if registry is not None:
+        _write_metrics(args.metrics, sim, registry, sampler)
     return 0
 
 

@@ -108,6 +108,33 @@ class BufferPool:
             self.min_free = self._free
         return True
 
+    def replay_asof(self, times, now: float):
+        """Read-only :meth:`try_allocate_asof` at each of *times*.
+
+        *times* ascend and none exceeds *now*. Returns ``(free,
+        min_free, drops)``: :attr:`free` at *now*, :attr:`min_free` and
+        the count of exhaustion drops those allocations would produce,
+        as if they had been decided already. The pool is not touched:
+        observers use this to read train admissions that are past
+        their instant but not yet executed.
+        """
+        free = self._free
+        min_free = self.min_free
+        drops = 0
+        relinks = sorted(t for t in self._pending if t <= now)
+        j = 0
+        for time in times:
+            while j < len(relinks) and relinks[j] <= time:
+                j += 1
+                free += 1
+            if free == 0:
+                drops += 1
+            else:
+                free -= 1
+                if free < min_free:
+                    min_free = free
+        return free + len(relinks) - j, min_free, drops
+
     def release(self) -> None:
         """Free one buffer; it re-enters the list after the manager
         core's recycle delay."""

@@ -96,15 +96,15 @@ class NicConfig:
     #: Allow the batched egress + single-wakeup packet fast path
     #: (DESIGN.md §7). Semantically identical to the multi-yield slow
     #: path — seeded runs are bit-identical either way — and engaged
-    #: only while tracing and metrics are off; set False to force the
-    #: slow path (equivalence tests, debugging).
+    #: only while tracing is off; set False to force the slow path
+    #: (equivalence tests, debugging).
     fast_path: bool = True
     #: Max emission instants a fixed-rate sender may precompute and
     #: hand to ``NicPipeline.submit_train`` — the single train ingress
     #: path that batched trace workloads use too — as one run-lane
     #: train (DESIGN.md §7). A nonzero value is what marks a pipeline
     #: as train-capable for both producers. Like ``fast_path`` it is
-    #: auto-disabled while tracing or metrics are on (and whenever
+    #: auto-disabled while tracing is on (and whenever
     #: ``fast_path`` is off); 0 forces per-packet ingress. Observable
     #: behaviour is identical either way.
     ingress_burst: int = 64
@@ -115,8 +115,8 @@ class NicConfig:
     #: a worker wakeup chain, materialising zero kernel events until a
     #: boundary (update epoch, cache churn, run horizon) trips the
     #: detector. Bit-identical to the per-packet path; auto-disabled
-    #: with tracing/metrics, the slow path, drop callbacks, or an
-    #: eventful sink. Set False to force per-packet processing.
+    #: with tracing, the slow path, drop callbacks, or an eventful
+    #: sink (``NicPipeline.engine_guard`` names the one that hit). Set False to force per-packet processing.
     fluid: bool = True
     #: Allow the fluid lane to absorb EMC-*miss* packets too, by
     #: replaying the classification walk (rule match, cache insert,

@@ -129,15 +129,17 @@ class NicPipeline:
             receiver=receiver,
             name="nic-wire",
         )
-        # The batched fast path (DESIGN.md §7) engages only while
-        # observability is off: traces and metrics sample mid-packet
-        # state the pre-aggregated path doesn't stop at.
-        fast = config.fast_path and not sim.tracer.enabled and not sim.metrics.enabled
+        # The batched fast path (DESIGN.md §7) engages unless tracing
+        # is on: a trace records per-packet steps (worker verdicts,
+        # deliveries) the pre-aggregated path never stops at. Metrics
+        # do not select the engine: every sample is an observation
+        # point that settles lazy state first (DESIGN.md §8).
+        fast = config.fast_path and not sim.tracer.enabled
         #: True when this pipeline runs the batched egress + lazy
         #: buffer-return fast path (bit-identical to the slow path).
         self.fast_path = fast
         #: Max emissions per precomputed ingress train; 0 disables
-        #: train ingress (slow path, tracing, metrics, or config).
+        #: train ingress (slow path, tracing, or config).
         self.ingress_burst = config.ingress_burst if fast else 0
         # Lazy sink deliveries: when the fast path is on and the
         # receiver is a plain PacketSink with no delivery hook, link
@@ -191,21 +193,26 @@ class NicPipeline:
         if metrics.enabled:
             metrics.probe("nic.submitted", lambda: self.submitted)
             metrics.probe("nic.forwarded", lambda: self.forwarded)
-            metrics.probe("nic.dropped", lambda: self.dropped)
+            metrics.probe("nic.dropped", lambda: self.dropped + self._admission_asof()[2])
             metrics.probe("nic.dispatch.depth", lambda: len(self.dispatch))
             metrics.probe("nic.tx_ring.depth", lambda: len(self.tx_ring))
             metrics.probe("nic.tx_ring.max_occupancy", lambda: self.tx_ring.max_occupancy)
-            metrics.probe("nic.buffers.free", lambda: self.buffers.free)
-            metrics.probe("nic.buffers.min_free", lambda: self.buffers.min_free)
+            metrics.probe("nic.buffers.free", lambda: self._admission_asof()[0])
+            metrics.probe("nic.buffers.min_free", lambda: self._admission_asof()[1])
             if self.reorder is not None:
                 metrics.probe("nic.reorder.in_flight", lambda: self.reorder.in_flight)
                 metrics.probe("nic.reorder.parked", lambda: self.reorder.parked)
                 metrics.probe("nic.reorder.max_parked", lambda: self.reorder.max_parked)
-            self._drop_counters = {
-                reason: metrics.counter(f"nic.drops.{reason.value}") for reason in DropReason
-            }
-        else:
-            self._drop_counters = None
+            # Drop tallies are probes over drops_by_reason, so drops the
+            # fluid lane inlines count with no per-drop work. They read
+            # as floats, the JSONL shape of counter values.
+            tally = self.drops_by_reason
+            for reason in DropReason:
+                if reason is DropReason.NO_BUFFER:
+                    fn = lambda: float(tally[DropReason.NO_BUFFER] + self._admission_asof()[2])
+                else:
+                    fn = lambda reason=reason: float(tally[reason])
+                metrics.probe(f"nic.drops.{reason.value}", fn)
         app.bind(self)
         # The app may provide a pre-aggregated handler (single-wakeup
         # packet path); without one the generic loop runs even in fast
@@ -225,17 +232,29 @@ class NicPipeline:
         # branch it replays analytically), lazy sink deliveries, and no
         # per-drop callback. Anything else falls back to the per-packet
         # fast path, which is the reference it must match bit for bit.
+        if sim.tracer.enabled:
+            guard = "tracer on"
+        elif not config.fast_path:
+            guard = "fast_path off"
+        elif not config.fluid:
+            guard = "fluid off"
+        elif getattr(fast_handle, "__func__", None) is not FlowValveNicApp.handle_fast:
+            guard = "non-trylock handler"
+        elif self.link._lazy_sink is None:
+            guard = "non-lazy receiver"
+        elif on_drop is not None:
+            guard = "on_drop hook"
+        else:
+            guard = None
+        #: The first fluid-lane guard that failed; None on the fluid engine.
+        self.engine_guard = guard
+        #: The engine this NIC runs: "fluid", "fast" or "per-packet".
+        self.engine = "fluid" if guard is None else "fast" if fast else "per-packet"
         self._fluid = None
         #: Shared ingress run merging every sender's train while the
         #: fluid lane is on (see :meth:`submit_train`).
         self._ingress_run = None
-        if (
-            config.fluid
-            and fast
-            and getattr(fast_handle, "__func__", None) is FlowValveNicApp.handle_fast
-            and self.link._lazy_sink is not None
-            and on_drop is None
-        ):
+        if guard is None:
             from .fluid import FluidLane
 
             self._fluid = FluidLane(self)
@@ -277,6 +296,24 @@ class NicPipeline:
             for rec in trains:
                 n += rec.count_at(now) - rec.done
         return n
+
+    def _admission_asof(self):
+        """``(free, min_free, no_buffer_drops)`` of the buffer pool as
+        the per-packet engine shows them now.
+
+        Train ingress decides admission at DMA completion, the
+        per-packet engine at the emission instant, so emissions whose
+        instant has passed but whose arrival item has not run are
+        still undecided here. Their decisions are replayed read-only,
+        in emission order, on a copy of the pool; the drop count is
+        what those replayed decisions add to the recorded tallies.
+        """
+        now = self.sim._now
+        times: List[float] = []
+        for rec in self._trains:
+            times.extend(rec.times[rec.done:rec.count_at(now)])
+        times.sort()
+        return self.buffers.replay_asof(times, now)
 
     def submit(self, packet: Packet) -> bool:
         """Offer one packet from a host VF queue.
@@ -524,8 +561,6 @@ class NicPipeline:
                 reason=reason.value, app=packet.app, size=packet.size,
                 marked=packet.drop_reason.value if packet.drop_reason is not None else None,
             )
-        if self._drop_counters is not None:
-            self._drop_counters[reason].inc()
         if release_buffer:
             if self.fast_path:
                 # Lazy route: same effective relink time as release()
@@ -548,13 +583,21 @@ class NicPipeline:
         return self.dropped / self.submitted if self.submitted else 0.0
 
     def stats_summary(self) -> str:
-        """One-paragraph text summary for reports."""
+        """Two-line text summary for reports: counters, then engine."""
         reasons = ", ".join(
             f"{reason.value}={count}" for reason, count in self.drops_by_reason.items() if count
         )
+        lane = self._fluid
+        if lane is not None:
+            engine = (
+                f"absorbed={lane.absorbed} spills={lane.spills} suspends={lane.suspends}"
+            )
+        else:
+            engine = f"no fluid lane: {self.engine_guard}"
         return (
             f"NIC: submitted={self.submitted} forwarded={self.forwarded} "
             f"dropped={self.dropped} ({reasons or 'none'}) "
             f"tx_ring_max={self.tx_ring.max_occupancy} "
-            f"buffers_min_free={self.buffers.min_free}"
+            f"buffers_min_free={self.buffers.min_free}\n"
+            f"engine: {self.engine} ({engine})"
         )

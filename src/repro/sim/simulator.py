@@ -72,11 +72,10 @@ class Simulator:
         #: `run(until=None)` ends at the same final time an eventful run
         #: would (see PacketSink lazy accounting).
         self._drain_hooks: list = []
-        #: End hooks: callables invoked once per run(), after the final
-        #: clock is settled (including the advance-to-`until` clamp).
-        #: Lazy fast paths register flushes here so deferred work with
-        #: no kernel event of its own (the NIC fluid lane's micro-queue)
-        #: is applied before run() returns and observers look at state.
+        #: Settle hooks: callables that materialise deferred work with no
+        #: kernel event of its own (the NIC fluid lane's micro-queue) up
+        #: to the current clock. :meth:`settle` runs them at the end of
+        #: every run() and at every observation point (metrics samples).
         self._end_hooks: list = []
 
     # ------------------------------------------------------------------
@@ -147,14 +146,25 @@ class Simulator:
         self._drain_hooks.append(fn)
 
     def add_end_hook(self, fn: Callable[[], None]) -> None:
-        """Register a callable invoked when each :meth:`run` finishes.
+        """Register a callable that :meth:`settle` invokes.
 
-        Hooks run after the final clock is settled (the last event, the
-        drain-hook advance, or the ``until`` clamp) and before ``run``
-        returns — the point where deferred-but-determined work must be
-        materialised so post-run observers see a consistent world.
+        *fn* applies deferred-but-determined work due by the current
+        clock. It must be idempotent at a fixed clock and must not
+        change what is simulated, only when lazy state is folded in.
         """
         self._end_hooks.append(fn)
+
+    def settle(self) -> None:
+        """Bring lazily-deferred state up to the current clock.
+
+        Runs every end hook. :meth:`run` calls this after its final
+        clock is settled (the last event, the drain-hook advance, or the
+        ``until`` clamp); observers that read state mid-run (the metrics
+        sampler) call it first so they see what an eventful engine
+        would show at this instant.
+        """
+        for hook in self._end_hooks:
+            hook()
 
     # ------------------------------------------------------------------
     # the loop
@@ -305,8 +315,7 @@ class Simulator:
                 payload.fn(*payload.args)
             if until is not None and self._now < until and not self._stopped:
                 self._now = until
-            for hook in self._end_hooks:
-                hook()
+            self.settle()
         finally:
             self._running = False
             self.events_executed += executed

@@ -251,7 +251,13 @@ class MetricsSampler:
             self.sample()
 
     def sample(self) -> Dict[str, Any]:
-        """Take one snapshot now (also usable manually, e.g. at t=end)."""
+        """Take one snapshot now (also usable manually, e.g. at t=end).
+
+        Each sample is an observation point: the simulator first
+        settles lazily-deferred work up to now (``Simulator.settle``),
+        so the probes read what the per-packet engine would show.
+        """
+        self.sim.settle()
         row = {"time": self.sim.now}
         row.update(self.registry.snapshot())
         self.rows.append(row)

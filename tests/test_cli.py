@@ -1,6 +1,7 @@
 """Tests for the fv command-line tool."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +117,27 @@ class TestSimulate:
         assert snapshots and snapshots[-1]["nic.submitted"] > 0
         assert snapshots[-1]["time"] == pytest.approx(5.0)
 
+    def test_metrics_keep_the_fluid_engine(self, tmp_path, capsys):
+        # --metrics alone runs the fluid engine; its rows are byte-equal
+        # to a traced run's, which forces the per-packet engine.
+        policy = tmp_path / "policy.fv"
+        policy.write_text(POLICY.replace("10mbit", "10gbit"))
+        outs = {}
+        for name, extra in (("fluid", []), ("traced", ["--trace", str(tmp_path / "t.jsonl")])):
+            code = main([
+                "simulate", str(policy), "--link", "10gbit",
+                "--app", "A=9gbit", "--app", "B=9gbit",
+                "--duration", "5", "--scale", "500",
+                "--metrics", str(tmp_path / f"{name}.jsonl"), *extra,
+            ])
+            assert code == 0
+            outs[name] = capsys.readouterr().out
+        assert "engine: fluid (absorbed=" in outs["fluid"]
+        assert "engine: per-packet (no fluid lane: tracer on)" in outs["traced"]
+        fluid = (tmp_path / "fluid.jsonl").read_bytes()
+        assert fluid.count(b"\n") >= 100
+        assert fluid == (tmp_path / "traced.jsonl").read_bytes()
+
     def test_trace_implies_nic_mode(self, tmp_path, capsys):
         policy = tmp_path / "policy.fv"
         policy.write_text(POLICY.replace("10mbit", "10gbit"))
@@ -206,3 +228,36 @@ class TestSimulateScheduler:
         assert code == 1
         err = capsys.readouterr().err
         assert "cake" in err and "registered" in err
+
+
+class TestSimulateWorkload:
+    """fv simulate --workload PRESET: batched heavy-tailed trace demand."""
+
+    ARGS = [
+        str(Path(__file__).resolve().parent.parent / "examples" / "motivation.fv"),
+        "--link", "10gbit", "--workload", "kvs",
+        "--app", "KVS=2gbit", "--app", "WS=1gbit",
+        "--duration", "2", "--scale", "200",
+    ]
+
+    def test_metrics_rows_on_the_fluid_engine(self, tmp_path, capsys):
+        paths, outs = {}, {}
+        for name, extra in (("fluid", []), ("no-fluid", ["--no-fluid"])):
+            paths[name] = tmp_path / f"{name}.jsonl"
+            code = main(["simulate", *self.ARGS, "--metrics", str(paths[name]), *extra])
+            assert code == 0
+            outs[name] = capsys.readouterr().out
+            assert f"metrics: 100 snapshots -> {paths[name]}" in outs[name]
+        assert "engine: fluid (absorbed=" in outs["fluid"]
+        assert "engine: fast (no fluid lane: fluid off)" in outs["no-fluid"]
+        fluid_rows = [json.loads(line) for line in paths["fluid"].read_text().splitlines()]
+        assert fluid_rows[-1]["time"] == pytest.approx(2.0)
+        assert fluid_rows[-1]["nic.submitted"] > 0
+        assert fluid_rows == [
+            json.loads(line) for line in paths["no-fluid"].read_text().splitlines()
+        ]
+
+    def test_rejects_trace(self, tmp_path, capsys):
+        code = main(["simulate", *self.ARGS, "--trace", str(tmp_path / "t.jsonl")])
+        assert code == 1
+        assert "--trace is not supported with --workload" in capsys.readouterr().err

@@ -22,19 +22,21 @@ from repro.host import FixedRateSender
 from repro.net import PacketFactory, PacketSink
 from repro.net.boundary import BoundaryOutbox
 from repro.nic import NicPipeline
-from repro.sim import Simulator
+from repro.sim import Simulator, Tracer
+from repro.stats.metrics import MetricsRegistry
 
 
-def _world(*, fluid=True, on_drop=None, receiver=None, boundary=None):
+def _world(*, fluid=True, on_drop=None, receiver=None, boundary=None,
+           tracer=None, metrics=None, **config):
     setup = ScaledSetup(nominal_link_bps=10e9, scale=2000.0, wire_bps=10e9)
-    sim = Simulator(seed=setup.seed)
+    sim = Simulator(seed=setup.seed, tracer=tracer, metrics=metrics)
     frontend = FlowValveFrontend(
         motivation_policy(setup.link_bps),
         link_rate_bps=setup.link_bps,
         params=setup.sched_params(),
     )
     sink = PacketSink(sim, rate_window=1.0, record_delays=False)
-    cfg = replace(setup.nic_config(), fluid=fluid)
+    cfg = replace(setup.nic_config(), fluid=fluid, **config)
     if boundary is not None:
         recv = None  # boundary and receiver are mutually exclusive
     else:
@@ -93,6 +95,61 @@ class TestConstructionGuard:
         assert nic.fast_path
         assert nic.submitted > 0
         assert sink.total_packets > 0
+
+
+class TestEngineReport:
+    """``NicPipeline.engine`` names the engine that runs and
+    ``engine_guard`` the first fluid-lane guard that failed."""
+
+    def _assert_engine(self, nic, engine, guard):
+        assert (nic.engine, nic.engine_guard) == (engine, guard)
+        assert (nic._fluid is not None) == (engine == "fluid")
+        assert f"engine: {engine} (" in nic.stats_summary()
+
+    def test_fluid_when_every_guard_holds(self):
+        sim, nic, _ = _world()
+        sim.run(until=0.2)
+        self._assert_engine(nic, "fluid", None)
+        lane = nic._fluid
+        assert nic.stats_summary().splitlines()[1] == (
+            f"engine: fluid (absorbed={lane.absorbed} "
+            f"spills={lane.spills} suspends={lane.suspends})"
+        )
+
+    def test_metrics_keep_the_fluid_engine(self):
+        _, nic, _ = _world(metrics=MetricsRegistry())
+        self._assert_engine(nic, "fluid", None)
+
+    def test_tracer_forces_the_per_packet_engine(self):
+        _, nic, _ = _world(tracer=Tracer())
+        self._assert_engine(nic, "per-packet", "tracer on")
+        assert nic.ingress_burst == 0
+
+    def test_fast_path_off(self):
+        _, nic, _ = _world(fast_path=False)
+        self._assert_engine(nic, "per-packet", "fast_path off")
+
+    def test_fluid_off(self):
+        _, nic, _ = _world(fluid=False)
+        self._assert_engine(nic, "fast", "fluid off")
+
+    def test_non_trylock_handler(self):
+        _, nic, _ = _world(lock_mode="per_class_block")
+        self._assert_engine(nic, "fast", "non-trylock handler")
+
+    def test_non_lazy_receiver(self):
+        _, nic, _ = _world(receiver=lambda packet: None)
+        self._assert_engine(nic, "fast", "non-lazy receiver")
+
+    def test_on_drop_hook(self):
+        _, nic, _ = _world(on_drop=lambda packet: None)
+        self._assert_engine(nic, "fast", "on_drop hook")
+
+    def test_summary_names_the_failing_guard(self):
+        _, nic, _ = _world(fluid=False)
+        assert nic.stats_summary().splitlines()[1] == (
+            "engine: fast (no fluid lane: fluid off)"
+        )
 
 
 class TestBoundaryEmission:

@@ -7,6 +7,7 @@ observability on changes *nothing* about simulated behaviour.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -133,12 +134,20 @@ fv filter add dev eth0 parent 1: match app=B flowid 1:20
 """
 
 
-def _run_nic(tracer=None, metrics=None, duration=5.0, fast_path=True):
+def _run_nic(tracer=None, metrics=None, duration=5.0, fast_path=True, **config):
+    """Build and run :func:`_build_nic` for *duration* seconds."""
+    sim, nic, sink = _build_nic(tracer, metrics, fast_path, **config)
+    sim.run(until=duration)
+    return sim, nic, sink
+
+
+def _build_nic(tracer=None, metrics=None, fast_path=True, **config):
     """The Fig. 11-style assembly at a tiny scale, observability optional.
 
     scale=500 shrinks the update epoch to 0.5 s of sim time, so token
     enforcement (and therefore scheduler drops) kicks in well inside a
-    5 s run while keeping the packet count small.
+    5 s run while keeping the packet count small. *config* overrides
+    NIC config fields.
     """
     from repro.tc.parser import parse_script
 
@@ -149,7 +158,8 @@ def _run_nic(tracer=None, metrics=None, duration=5.0, fast_path=True):
     )
     sink = PacketSink(sim, rate_window=1.0, record_delays=False)
     nic = NicPipeline.with_flowvalve(
-        sim, setup.nic_config(fast_path=fast_path), frontend, receiver=sink.receive
+        sim, replace(setup.nic_config(), fast_path=fast_path, **config), frontend,
+        receiver=sink.receive,
     )
     factory = PacketFactory()
     demands = {"A": 9e9, "B": 9e9}
@@ -160,7 +170,6 @@ def _run_nic(tracer=None, metrics=None, duration=5.0, fast_path=True):
             demand=_scale_demand(lambda t, rate=demands[app]: rate, setup.scale),
             vf_index=index, jitter=0.1, rng=sim.random.stream(app),
         )
-    sim.run(until=duration)
     return sim, nic, sink
 
 
@@ -269,8 +278,157 @@ class TestNicPipelineMetrics:
     def test_metrics_off_costs_no_events_or_state(self):
         sim, nic, _ = _run_nic(duration=1.0)
         assert isinstance(sim.metrics, NullMetricsRegistry)
+        assert sim.metrics.names() == []
         assert sim.metrics.snapshot() == {}
-        assert nic._drop_counters is None
+        sim_null, _, _ = _run_nic(metrics=NullMetricsRegistry(), duration=1.0)
+        assert sim_null.metrics.names() == []
+        assert sim_null.events_executed == sim.events_executed
+
+
+def _fig11_world(metrics, fast_path=True, **config):
+    """``hotpath.build``'s Fig. 11(a) world on seed 7, with a registry
+    and NIC config overrides."""
+    from repro.experiments import hotpath
+    from repro.experiments.policies import motivation_policy
+    from repro.experiments.workloads import motivation_demands
+
+    setup = replace(hotpath.DEFAULT_SETUP, seed=7)
+    sim = Simulator(seed=setup.seed, metrics=metrics)
+    frontend = FlowValveFrontend(
+        motivation_policy(setup.link_bps),
+        link_rate_bps=setup.link_bps,
+        params=setup.sched_params(),
+    )
+    sink = PacketSink(sim, rate_window=1.0, record_delays=False)
+    nic = NicPipeline.with_flowvalve(
+        sim, replace(setup.nic_config(), fast_path=fast_path, **config), frontend,
+        receiver=sink.receive,
+    )
+    factory = PacketFactory()
+    demands = motivation_demands(setup.nominal_link_bps)
+    for index, (app, demand) in enumerate(sorted(demands.items())):
+        FixedRateSender(
+            sim, app, factory, nic.submit,
+            rate_bps=setup.sender_rate(), packet_size=1500,
+            demand=_scale_demand(demand, setup.scale),
+            vf_index=index, jitter=0.1, rng=sim.random.stream(app),
+        )
+    return sim, nic, sink
+
+
+def _megaflow_world(metrics, fast_path=True, duration=0.01, **config):
+    """``megaflow.build``'s heavy-tailed trace mix (EMC misses absorbed
+    through ``fluid_classify``) over *duration* nominal seconds."""
+    from repro.experiments import megaflow
+    from repro.experiments.policies import motivation_policy
+    from repro.host import WORKLOAD_PRESETS, TraceWorkload
+
+    setup = megaflow.DEFAULT_SETUP
+    sim = Simulator(seed=setup.seed, metrics=metrics)
+    frontend = FlowValveFrontend(
+        motivation_policy(setup.link_bps),
+        link_rate_bps=setup.link_bps,
+        params=setup.sched_params(),
+    )
+    sink = PacketSink(
+        sim, rate_window=1.0, record_delays=True, stats_mode="sketch", fold_interval=1.0
+    )
+    nic = NicPipeline.with_flowvalve(
+        sim,
+        replace(setup.nic_config(), fast_path=fast_path, fluid_classify=True, **config),
+        frontend,
+        receiver=sink.receive,
+    )
+    factory = PacketFactory()
+    for index, (app, preset, fraction) in enumerate(sorted(megaflow.DEFAULT_MIX)):
+        base = WORKLOAD_PRESETS[preset]
+        TraceWorkload(
+            sim, app,
+            replace(base, flow_rate_limit_bps=base.flow_rate_limit_bps / setup.scale),
+            fraction * setup.nominal_link_bps / setup.scale,
+            nic.submit, factory, vf_index=index,
+            duration=duration * setup.scale, mode="batched",
+        )
+    return sim, nic, sink
+
+
+#: Config overrides selecting each engine on a metrics-on world.
+ENGINES = {"per-packet": {"fast_path": False}, "fast": {"fluid": False}, "fluid": {}}
+
+
+def _sampled_rows(build, horizon, samples=100, **config):
+    """Metric rows of *build*'s world on each engine, keyed by engine."""
+    rows = {}
+    for engine, overrides in ENGINES.items():
+        registry = MetricsRegistry()
+        sim, nic, _ = build(metrics=registry, **overrides, **config)
+        assert nic.engine == engine
+        sampler = MetricsSampler(sim, registry, interval=horizon / samples)
+        sim.run(until=horizon)
+        assert len(sampler.rows) >= samples - 1
+        rows[engine] = sampler.rows
+    return rows
+
+
+def _assert_rows_equal(rows, reference):
+    assert len(rows) == len(reference)
+    for row, ref in zip(rows, reference):
+        diff = {key: (row.get(key), ref[key]) for key in ref if row.get(key) != ref[key]}
+        assert not diff and row.keys() == ref.keys(), f"t={ref['time']}: {diff}"
+
+
+class TestMetricsOnEveryEngine:
+    """Metrics observe the engine that runs: rows sampled on the fast
+    and fluid engines equal the per-packet oracle's on every key and
+    every row (DESIGN.md §8, observation points)."""
+
+    def _check(self, build, horizon, **config):
+        rows = _sampled_rows(build, horizon, **config)
+        _assert_rows_equal(rows["fast"], rows["per-packet"])
+        _assert_rows_equal(rows["fluid"], rows["per-packet"])
+        return rows["per-packet"]
+
+    def test_hotpath_world(self):
+        self._check(_fig11_world, 20.0)
+
+    def test_borrow_policy_world(self):
+        # Jittered per-packet ingress (no demand boundaries, so no
+        # trains) on the two-class borrow policy; the dispatch queue
+        # overflows.
+        rows = self._check(_build_nic, 5.0)
+        assert rows[-1]["nic.drops.queue_full"] > 0
+
+    def test_megaflow_world(self):
+        rows = self._check(_megaflow_world, 0.01 * 200.0 * 1.02)
+        assert rows[-1]["nic.submitted"] > 5000
+
+    def test_tiny_buffer_pool_world(self):
+        # A pool of 8 buffers: NO_BUFFER drops land between samples, so
+        # rows only agree if train admissions past their emission
+        # instant are read as of now.
+        rows = self._check(_fig11_world, 16.0, buffer_count=8)
+        no_buffer = [row["nic.drops.no_buffer"] for row in rows]
+        assert no_buffer[0] > 0 and no_buffer[-1] > no_buffer[0]
+        assert rows[-1]["nic.drops.sched_red"] > 0
+
+    def test_sampler_ticks_are_the_only_extra_events(self):
+        # Metrics on keep the fluid engine; what is simulated stays the
+        # same and each tick costs at most two kernel events (its own
+        # resume and the ingress-run segment it splits).
+        sim_off, nic_off, sink_off = _fig11_world(None)
+        sim_off.run(until=20.0)
+        registry = MetricsRegistry()
+        sim_on, nic_on, sink_on = _fig11_world(registry)
+        sampler = MetricsSampler(sim_on, registry, interval=0.2)
+        sim_on.run(until=20.0)
+        ticks = len(sampler.rows)
+        assert nic_on.engine == "fluid"
+        assert sim_off.events_executed < sim_on.events_executed
+        assert sim_on.events_executed <= sim_off.events_executed + 2 * ticks
+        assert nic_on.drops_by_reason == nic_off.drops_by_reason
+        assert nic_on.forwarded == nic_off.forwarded
+        assert dict(sink_on.bytes) == dict(sink_off.bytes)
+        assert nic_on._fluid.absorbed == nic_off._fluid.absorbed
 
 
 SW_POLICY = POLICY.replace("10gbit", "100mbit")
