@@ -9,13 +9,15 @@ same throughput as the rest of cores amount to").
 
 from conftest import run_once
 
-from repro.experiments import run_lock_mode_ablation
-from repro.experiments.ablations import lock_ablation_table
+from repro.experiments import ablations
+from repro.experiments.base import ScaledSetup
 
 
 def test_lock_mode_ablation(benchmark, emit):
-    results = run_once(benchmark, run_lock_mode_ablation)
-    emit(lock_ablation_table(results).render())
+    setup = ScaledSetup(nominal_link_bps=40e9, scale=1.0, wire_bps=40e9, seed=23)
+    result = run_once(benchmark, ablations.lock_modes, setup)
+    emit(result.to_table().render())
+    results = result.results
 
     by_mode = {r.lock_mode: r for r in results}
     trylock = by_mode["trylock"].mpps

@@ -12,19 +12,22 @@ Shape assertions:
 
 from conftest import run_once
 
-from repro.experiments import run_cpu_comparison
-from repro.experiments.cpu_cores import cpu_table
+from repro.experiments import cpu_cores
+from repro.experiments.base import ScaledSetup
 
 
 def run_both():
-    rows = run_cpu_comparison(packet_size=1518, duration=15.0)
-    rows += run_cpu_comparison(packet_size=64, duration=15.0, scale=2000.0)
-    return rows
+    rows = []
+    for packet_size, scale in ((1518, 400.0), (64, 2000.0)):
+        setup = ScaledSetup(nominal_link_bps=40e9, scale=scale, wire_bps=40e9, seed=17)
+        rows += cpu_cores.run(setup, packet_size=packet_size, duration=15.0).rows
+    return cpu_cores.CpuResult(rows=rows)
 
 
 def test_cpu_core_saving(benchmark, emit):
-    rows = run_once(benchmark, run_both)
-    emit(cpu_table(rows).render())
+    result = run_once(benchmark, run_both)
+    emit(result.to_table().render())
+    rows = result.rows
 
     by_key = {(r.scheduler, r.packet_size): r for r in rows}
     fv_large = by_key[("FlowValve", 1518)]

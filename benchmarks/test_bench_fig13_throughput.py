@@ -13,13 +13,15 @@ Shape assertions:
 import pytest
 from conftest import run_once
 
-from repro.experiments import run_fig13
-from repro.experiments.fig13 import fig13_table
+from repro.experiments import fig13
+from repro.experiments.base import ScaledSetup
 
 
 def test_fig13_max_throughput(benchmark, emit):
-    rows = run_once(benchmark, run_fig13)
-    emit(fig13_table(rows).render())
+    setup = ScaledSetup(nominal_link_bps=40e9, scale=1.0, wire_bps=40e9, seed=11)
+    result = run_once(benchmark, fig13.run, setup)
+    emit(result.to_table().render())
+    rows = result.rows
 
     by_size = {row.size: row for row in rows}
 

@@ -12,13 +12,15 @@ Shape assertions:
 
 from conftest import run_once
 
-from repro.experiments import run_fig14
-from repro.experiments.fig14 import fig14_table
+from repro.experiments import fig14
+from repro.experiments.base import ScaledSetup
 
 
 def test_fig14_one_way_delay(benchmark, emit):
-    rows = run_once(benchmark, run_fig14)
-    emit(fig14_table(rows).render())
+    setup = ScaledSetup(nominal_link_bps=10e9, scale=100.0, wire_bps=10e9, seed=13)
+    result = run_once(benchmark, fig14.run, setup)
+    emit(result.to_table().render())
+    rows = result.rows
 
     cells = {(row.scheduler, row.line_rate_bps): row.summary for row in rows}
     fv10 = cells[("FlowValve", 10e9)]

@@ -9,12 +9,12 @@ land every class within a few percent of its policy target.
 
 from conftest import run_once
 
-from repro.experiments import run_tcp_realism_shared, tcp_realism_table
+from repro.experiments import tcp_realism
 
 
 def test_tcp_conformance(benchmark, emit):
-    result = run_once(benchmark, run_tcp_realism_shared)
-    emit(tcp_realism_table(
+    result = run_once(benchmark, tcp_realism.run, regime="shared")
+    emit(tcp_realism.tcp_realism_table(
         result, "TCP realism — motivation policy, closed-loop AIMD senders"
     ).render())
 

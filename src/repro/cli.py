@@ -556,9 +556,7 @@ def _cmd_simulate_workload(args: argparse.Namespace, policy, link: float, demand
     )
     nic = NicPipeline.with_flowvalve(
         sim,
-        setup.nic_config(
-            fluid=not args.no_fluid, fluid_classify=not args.no_fluid
-        ),
+        setup.nic_config(fluid=not args.no_fluid),
         frontend,
         receiver=sink.receive,
     )

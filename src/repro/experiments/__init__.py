@@ -8,8 +8,8 @@ EXPERIMENTS.md for paper-vs-measured numbers.
 
 Every figure module exposes the unified entry-point shape
 ``run(setup: ScaledSetup, **spec_params) -> Result`` where the result
-exposes ``to_table()`` (DESIGN.md §9); the historical ``run_*`` names
-remain as thin deprecation shims returning their original shapes. The
+exposes ``to_table()`` (DESIGN.md §9); timelines over an arbitrary
+policy and demand set go through :func:`repro.topology.timeline`. The
 :mod:`.campaign` subpackage (imported explicitly) registers every
 entry point as an :class:`ExperimentSpec` and runs parameter grids in
 parallel.
@@ -18,7 +18,6 @@ parallel.
 from .base import (
     ScaledSetup,
     TimelineResult,
-    run_flowvalve_timeline,
     run_kernel_htb_timeline,
 )
 from .policies import (
@@ -32,31 +31,21 @@ from .workloads import (
     motivation_demands,
     weighted_demands,
 )
-from .fabric import FabricResult, run_fabric_sweep
-from .megaflow import MegaflowResult, run_megaflow
-from .fig03 import run_fig03
-from .fig11 import run_fig11a, run_fig11b, run_fig11c
-from .fig13 import Fig13Result, Fig13Row, run_fig13
-from .fig14 import Fig14Result, Fig14Row, run_fig14
-from .cpu_cores import CpuResult, CpuRow, run_cpu_comparison
+from .fabric import FabricResult
+from .megaflow import MegaflowResult
+from .fig13 import Fig13Result, Fig13Row
+from .fig14 import Fig14Result, Fig14Row
+from .cpu_cores import CpuResult, CpuRow
 from .ablations import (
     IntervalSensitivityResult,
     LockAblationResult,
     PropagationDelayResult,
-    run_lock_mode_ablation,
-    run_propagation_delay,
-    run_update_interval_sensitivity,
 )
-from .tcp_realism import (
-    TcpRealismResult,
-    run_tcp_realism_shared,
-    tcp_realism_table,
-)
+from .tcp_realism import TcpRealismResult, tcp_realism_table
 
 __all__ = [
     "ScaledSetup",
     "TimelineResult",
-    "run_flowvalve_timeline",
     "run_kernel_htb_timeline",
     "fair_policy",
     "motivation_policy",
@@ -66,29 +55,16 @@ __all__ = [
     "motivation_demands",
     "weighted_demands",
     "FabricResult",
-    "run_fabric_sweep",
     "MegaflowResult",
-    "run_megaflow",
-    "run_fig03",
-    "run_fig11a",
-    "run_fig11b",
-    "run_fig11c",
     "Fig13Result",
     "Fig13Row",
-    "run_fig13",
     "Fig14Result",
     "Fig14Row",
-    "run_fig14",
     "CpuResult",
     "CpuRow",
-    "run_cpu_comparison",
     "IntervalSensitivityResult",
     "LockAblationResult",
     "PropagationDelayResult",
-    "run_lock_mode_ablation",
-    "run_propagation_delay",
-    "run_update_interval_sensitivity",
     "TcpRealismResult",
-    "run_tcp_realism_shared",
     "tcp_realism_table",
 ]

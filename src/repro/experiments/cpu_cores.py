@@ -28,11 +28,11 @@ from ..host import FixedRateSender, HostCpu
 from ..sim import Simulator
 from ..stats.report import Table
 from ..units import line_rate_pps
-from .base import ScaledSetup, warn_deprecated
+from .base import ScaledSetup
 from .fig13 import DPDK_CORES_BY_SIZE, _fair_htb_tree
 from .policies import fair_policy
 
-__all__ = ["CpuRow", "CpuResult", "run", "run_cpu_comparison", "cpu_table"]
+__all__ = ["CpuRow", "CpuResult", "run", "cpu_table"]
 
 
 @dataclass
@@ -150,20 +150,6 @@ def run(
         total_cores=round(cpu.report.core_equivalents(duration, ""), 2),
     ))
     return CpuResult(rows=rows)
-
-
-def run_cpu_comparison(
-    line_rate_bps: float = 40e9,
-    packet_size: int = 1518,
-    duration: float = 20.0,
-    scale: float = 400.0,
-    seed: int = 17,
-) -> List[CpuRow]:
-    """Deprecated alias for :func:`run`; returns the bare row list."""
-    warn_deprecated("run_cpu_comparison", "repro.experiments.cpu_cores.run")
-    setup = ScaledSetup(nominal_link_bps=line_rate_bps, scale=scale,
-                        wire_bps=line_rate_bps, seed=seed)
-    return run(setup, packet_size=packet_size, duration=duration).rows
 
 
 def cpu_table(rows: List[CpuRow]) -> Table:

@@ -78,7 +78,7 @@ def run(
         setup = default_setup(7)
     # Same convention as fig11: the policy is built at the *scaled*
     # link rate (its class rates live in sim units), demands at the
-    # nominal rate (scaled per-sender below / by run_flowvalve_timeline).
+    # nominal rate (scaled per-sender below / by timeline()).
     policy = policy_of(setup.link_bps)
     demands = demands_of(setup.nominal_link_bps)
     title = f"crossbar — {scheduler} on {workload}"

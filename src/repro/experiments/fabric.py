@@ -30,7 +30,6 @@ __all__ = [
     "FabricResult",
     "build_fabric",
     "run",
-    "run_fabric_sweep",
     "DEFAULT_PROP",
     "DEFAULT_SETUP",
 ]
@@ -198,7 +197,3 @@ def run(
         fluid_suspends=result.total_fluid_suspends,
         domain_events={name: d.events for name, d in result.domains.items()},
     )
-
-
-#: Package-level alias matching the ``run_*`` naming of sibling modules.
-run_fabric_sweep = run

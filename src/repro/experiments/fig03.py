@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .base import ScaledSetup, TimelineResult, run_kernel_htb_timeline, warn_deprecated
+from .base import ScaledSetup, TimelineResult, run_kernel_htb_timeline
 from .policies import motivation_htb_tree
 from .workloads import motivation_demands
 
-__all__ = ["run", "run_fig03"]
+__all__ = ["run"]
 
 #: The published testbed: a 10 Gbit policy ceiling on a 40 Gbit wire —
 #: the gap is where the HTB overshoot artifact lives.
@@ -41,12 +41,3 @@ def run(setup: Optional[ScaledSetup] = None, *, duration: float = 60.0) -> Timel
         title="Fig. 3 — kernel HTB, motivation policy (10 Gbit ceiling, 40 Gbit wire)",
     )
     return result
-
-
-def run_fig03(
-    setup: ScaledSetup = DEFAULT_SETUP,
-    duration: float = 60.0,
-) -> TimelineResult:
-    """Deprecated alias for :func:`run`."""
-    warn_deprecated("run_fig03", "repro.experiments.fig03.run")
-    return run(setup, duration=duration)

@@ -28,10 +28,10 @@ from ..stats.report import Table
 from ..tc.ast import FilterSpec
 from ..tc.classifier import Classifier
 from ..units import line_rate_pps
-from .base import ScaledSetup, warn_deprecated
+from .base import ScaledSetup
 from .policies import fair_policy
 
-__all__ = ["Fig13Row", "Fig13Result", "run", "run_fig13", "PAPER_FIG13"]
+__all__ = ["Fig13Row", "Fig13Result", "run", "PAPER_FIG13"]
 
 #: Published numbers (Mpps) for the sizes quoted in the paper's text;
 #: ``None`` marks sizes shown only graphically.
@@ -163,17 +163,6 @@ def run(
             )
         )
     return Fig13Result(rows=rows)
-
-
-def run_fig13(
-    sizes: Optional[List[int]] = None,
-    window: float = 0.002,
-    seed: int = 11,
-) -> List[Fig13Row]:
-    """Deprecated alias for :func:`run`; returns the bare row list."""
-    warn_deprecated("run_fig13", "repro.experiments.fig13.run")
-    setup = ScaledSetup(nominal_link_bps=40e9, scale=1.0, wire_bps=40e9, seed=seed)
-    return run(setup, sizes=sizes, window=window).rows
 
 
 def fig13_table(rows: List[Fig13Row]) -> Table:

@@ -29,10 +29,10 @@ from ..net import PacketFactory, PacketSink
 from ..nic import NicPipeline
 from ..sim import Simulator
 from ..stats.report import Table
-from .base import ScaledSetup, warn_deprecated
+from .base import ScaledSetup
 from .policies import motivation_policy
 
-__all__ = ["TcpRealismResult", "run", "run_tcp_realism", "tcp_realism_table"]
+__all__ = ["TcpRealismResult", "run", "tcp_realism_table"]
 
 #: The published testbed for both TCP-realism regimes.
 DEFAULT_SETUP = ScaledSetup(nominal_link_bps=10e9, scale=100.0, wire_bps=10e9, seed=21)
@@ -187,26 +187,6 @@ def _run_shared(setup: ScaledSetup, duration: float) -> TcpRealismResult:
     )
 
 
-def run_tcp_realism(
-    setup: ScaledSetup = DEFAULT_SETUP,
-    duration: float = 40.0,
-    connections_per_app: int = 1,
-) -> TcpRealismResult:
-    """Deprecated alias for :func:`run` with ``regime="backlogged"``."""
-    warn_deprecated("run_tcp_realism", "repro.experiments.tcp_realism.run(regime='backlogged')")
-    return run(setup, regime="backlogged", duration=duration,
-               connections_per_app=connections_per_app)
-
-
-def run_tcp_realism_shared(
-    setup: ScaledSetup = DEFAULT_SETUP,
-    duration: float = 40.0,
-) -> TcpRealismResult:
-    """Deprecated alias for :func:`run` with ``regime="shared"``."""
-    warn_deprecated("run_tcp_realism_shared", "repro.experiments.tcp_realism.run(regime='shared')")
-    return run(setup, regime="shared", duration=duration)
-
-
 def tcp_realism_table(result: TcpRealismResult, title: str) -> Table:
     """Render targets vs achieved with per-app drift."""
     table = Table(title, ["app", "target", "TCP achieved", "drift"])
@@ -221,5 +201,3 @@ def tcp_realism_table(result: TcpRealismResult, title: str) -> Table:
                   f"{result.total_achieved / 1e9:.2f}G", "")
     return table
 
-
-__all__.append("run_tcp_realism_shared")

@@ -23,6 +23,11 @@ from .tcp import AimdConnection, TcpParams, TcpRegistry
 
 __all__ = ["DemandSchedule", "windows", "propagate_next_change", "TcpApp", "FixedRateSender"]
 
+#: Max emission instants a :class:`FixedRateSender` precomputes per
+#: ingress train (DESIGN.md §7). Observable behaviour does not depend
+#: on it; it bounds how far ahead of the clock a train reaches.
+TRAIN_CAP = 64
+
 #: A demand function: time -> offered bit/s. Schedules built by
 #: :func:`windows` additionally carry a ``next_change(t)`` attribute
 #: returning the first boundary strictly after *t* (or ``None``), with
@@ -254,12 +259,12 @@ class FixedRateSender:
         # Train ingress: precompute the next K emission instants with
         # the exact float-op and RNG-draw order of the per-packet loop
         # and hand them to the pipeline as a single run-lane train.
-        # Engages only when the target is a train-capable pipeline, no
+        # Engages only when the target is a fast-path pipeline, no
         # host CPU cost is modelled, and the demand schedule (if any)
         # exposes its boundaries (constant between them).
         owner = getattr(submit, "__self__", None)
-        burst_max = getattr(owner, "ingress_burst", 0) if owner is not None else 0
-        submit_train = owner.submit_train if burst_max > 0 else None
+        train_cap = TRAIN_CAP
+        submit_train = owner.submit_train if getattr(owner, "fast_path", False) else None
         if (cpu is not None and send_cost > 0) or (demand is not None and next_change is None):
             submit_train = None
         while True:
@@ -297,19 +302,19 @@ class FixedRateSender:
                     # scalar loop below, so every emission instant (and
                     # the resume time) is bit-identical.
                     seq = _np.add.accumulate(
-                        _np.concatenate(((t,), _np.full(burst_max, interval)))
+                        _np.concatenate(((t,), _np.full(train_cap, interval)))
                     )
                     bad = seq > horizon
                     if end is not None:
                         bad |= seq >= end
-                    head = bad[:burst_max]
-                    stop = int(head.argmax()) if head.any() else burst_max
+                    head = bad[:train_cap]
+                    stop = int(head.argmax()) if head.any() else train_cap
                     times = seq[:stop].tolist()
                     t = float(seq[stop])
                 else:
                     times: List[float] = []
                     append = times.append
-                    while len(times) < burst_max and (end is None or t < end) and t <= horizon:
+                    while len(times) < train_cap and (end is None or t < end) and t <= horizon:
                         append(t)
                         gap = interval
                         if uniform is not None:

@@ -216,18 +216,12 @@ class TraceWorkload:
                 65536 * profile.packet_size * 8.0 / offered_load_bps,
             )
         self.window = window
-        # Batched ingress: hand whole windows to a train-capable NIC
-        # (same owner detection as FixedRateSender's train path); any
-        # other target gets per-item run-lane callbacks — still one
-        # heap operation per window, minted at the exact instants.
+        # Batched ingress: hand whole windows to a fast-path NIC (same
+        # owner detection as FixedRateSender's train path); any other
+        # target gets per-item run-lane callbacks — still one heap
+        # operation per window, minted at the exact instants.
         owner = getattr(submit, "__self__", None)
-        self._trace_target = (
-            owner
-            if owner is not None
-            and getattr(owner, "ingress_burst", 0) > 0
-            and hasattr(owner, "submit_train")
-            else None
-        )
+        self._trace_target = owner if getattr(owner, "fast_path", False) else None
         if mode == "process":
             sim.process(self._arrivals())
         else:

@@ -97,39 +97,26 @@ class NicConfig:
     #: (DESIGN.md §7). Semantically identical to the multi-yield slow
     #: path — seeded runs are bit-identical either way — and engaged
     #: only while tracing is off; set False to force the slow path
-    #: (equivalence tests, debugging).
+    #: (equivalence tests, debugging). A fast-path pipeline also takes
+    #: ingress trains: fixed-rate senders and batched trace workloads
+    #: hand it precomputed emission instants through
+    #: ``NicPipeline.submit_train``, one run-lane entry per train.
     fast_path: bool = True
-    #: Max emission instants a fixed-rate sender may precompute and
-    #: hand to ``NicPipeline.submit_train`` — the single train ingress
-    #: path that batched trace workloads use too — as one run-lane
-    #: train (DESIGN.md §7). A nonzero value is what marks a pipeline
-    #: as train-capable for both producers. Like ``fast_path`` it is
-    #: auto-disabled while tracing is on (and whenever
-    #: ``fast_path`` is off); 0 forces per-packet ingress. Observable
-    #: behaviour is identical either way.
-    ingress_burst: int = 64
     #: Allow the fluid fast-forward lane (DESIGN.md §7): packets of
-    #: quiescent flows — cache-hit label, no update due on the path,
-    #: no competing update in flight — are carried to their scheduling
-    #: decision analytically through a deferred micro-queue instead of
-    #: a worker wakeup chain, materialising zero kernel events until a
-    #: boundary (update epoch, cache churn, run horizon) trips the
-    #: detector. Bit-identical to the per-packet path; auto-disabled
-    #: with tracing, the slow path, drop callbacks, or an eventful
-    #: sink (``NicPipeline.engine_guard`` names the one that hit). Set False to force per-packet processing.
+    #: quiescent flows — cached or replayed label, no update due on
+    #: the path, no competing update in flight — are carried to their
+    #: scheduling decision analytically through a deferred micro-queue
+    #: instead of a worker wakeup chain, materialising zero kernel
+    #: events until a boundary (update epoch, cache churn, run horizon)
+    #: trips the detector. An EMC miss rides the lane too: its
+    #: classification walk (rule match, cache insert, miss-path cycle
+    #: cost) is replayed at the handler's virtual time. Bit-identical
+    #: to the per-packet path; auto-disabled with tracing, the slow
+    #: path, drop callbacks, or an eventful sink
+    #: (``NicPipeline.engine_guard`` names the one that hit). False
+    #: selects the fast engine without the lane (the lane's reference);
+    #: ``fast_path=False`` selects per-packet processing.
     fluid: bool = True
-    #: Allow the fluid lane to absorb EMC-*miss* packets too, by
-    #: replaying the classification walk (rule match, cache insert,
-    #: miss-path cycle cost) analytically at its virtual time — the
-    #: same states and timestamps the trylock fast handler produces,
-    #: so outcomes stay bit-identical to the per-packet path. Off by
-    #: default: absorption decisions change which packets ride the
-    #: lane, which changes *kernel event counts* (never results), and
-    #: the recorded hot-path/fabric budgets pin the default lane.
-    #: Million-flow trace runs turn this on — every flow's first
-    #: packet is an EMC miss, and a spill per flow suspends the lane
-    #: (DESIGN.md §12).
-    fluid_classify: bool = False
     #: Per-operation cycle budgets.
     costs: CycleCosts = field(default_factory=CycleCosts)
     #: Memory hierarchy (documentation + latency-hiding math).
@@ -144,8 +131,10 @@ class NicConfig:
             raise ConfigError("n_workers must be positive")
         if self.line_rate_bps <= 0:
             raise ConfigError("line_rate_bps must be positive")
-        if self.ingress_burst < 0:
-            raise ConfigError(f"ingress_burst must be >= 0, got {self.ingress_burst}")
+        for name in ("rx_dma_latency", "tx_fixed_latency", "buffer_recycle_delay"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
         if self.lock_mode not in self._LOCK_MODES:
             raise ConfigError(
                 f"lock_mode must be one of {self._LOCK_MODES}, got {self.lock_mode!r}"

@@ -149,10 +149,6 @@ class FluidLane:
         #: the topology builder sets it to the spec duration before the
         #: pipeline is constructed).
         self._carry = sim.carry_horizon
-        #: Absorb EMC-miss packets by replaying the classification walk
-        #: analytically (config.fluid_classify — the million-flow trace
-        #: regime, where every flow's first packet misses).
-        self._absorb_miss = pipeline.config.fluid_classify
         #: cyc(emc_hit + classify_per_rule * max(1, n_rules)) — the
         #: miss-path labeling cost; resolved lazily (rule count is
         #: fixed after policy install).
@@ -180,7 +176,7 @@ class FluidLane:
         #: Packets absorbed by the lane (no worker wakeup).
         self.absorbed = 0
         #: Of those, EMC misses absorbed via the analytic classify
-        #: replay (0 unless ``fluid_classify`` is on).
+        #: replay.
         self.miss_absorbed = 0
         #: Packets that failed eligibility and took the real path.
         self.spills = 0
@@ -331,16 +327,15 @@ class FluidLane:
         key = (packet.flow, packet.vf_index)
         entry = entries.get(key)
         if entry is None:
-            # EMC miss: the classifier walk is slow-path — unless the
-            # lane is allowed to replay it analytically.
-            return self._absorb_miss and self._try_fluid_miss(packet, now)
+            # EMC miss: replay the classifier walk analytically.
+            return self._try_fluid_miss(packet, now)
         # Label time: arrival + fixed overhead (handle_fast's ``t``).
         t = now + self._c_label
         label, stored_at = entry
         timeout = cache.idle_timeout
         if timeout and (t - stored_at) > timeout:
             # Idle-expired: the real get() would miss — same replay.
-            return self._absorb_miss and self._try_fluid_miss(packet, now)
+            return self._try_fluid_miss(packet, now)
         path = self._scheduler.path_cache.entries.get(label.hierarchy)
         if path is None:
             return False
@@ -357,7 +352,7 @@ class FluidLane:
 
     def _try_fluid_miss(self, packet, now: float) -> bool:
         """Absorb an EMC-miss packet by replaying the classification
-        walk analytically (``config.fluid_classify``).
+        walk analytically.
 
         The pre-checks are side-effect-free — the rule walk below
         deliberately bypasses the classifier's ``lookups``/``misses``

@@ -137,10 +137,9 @@ class NicPipeline:
         fast = config.fast_path and not sim.tracer.enabled
         #: True when this pipeline runs the batched egress + lazy
         #: buffer-return fast path (bit-identical to the slow path).
+        #: Exactly these pipelines accept ingress trains
+        #: (:meth:`submit_train`).
         self.fast_path = fast
-        #: Max emissions per precomputed ingress train; 0 disables
-        #: train ingress (slow path, tracing, or config).
-        self.ingress_burst = config.ingress_burst if fast else 0
         # Lazy sink deliveries: when the fast path is on and the
         # receiver is a plain PacketSink with no delivery hook, link
         # deliveries fold into the sink's tallies at observation time

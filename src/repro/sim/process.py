@@ -58,7 +58,9 @@ class Process(SimEvent):
     Created through :meth:`Simulator.process`; triggering semantics:
 
     * succeeds with the generator's ``return`` value when it finishes;
-    * fails with the exception if the generator raises;
+    * fails with the exception if the generator raises — delivered to
+      the processes waiting on it, or re-raised out of
+      :meth:`Simulator.run` when nothing waits;
     * :meth:`interrupt` throws :class:`ProcessInterrupt` into the
       generator at the current timestamp.
     """
@@ -112,7 +114,10 @@ class Process(SimEvent):
             return
         except Exception as exc:
             self._alive = False
+            waited = bool(self._callbacks)
             self.fail(exc)
+            if not waited:
+                raise
             return
         # Fast path, inlined from _wait_on: a bare delay schedules the
         # resume directly — no intermediate timeout SimEvent, no
@@ -165,7 +170,10 @@ class Process(SimEvent):
                 f"process yielded unsupported object {yielded!r}; "
                 "yield a SimEvent or a delay in seconds"
             )
+            waited = bool(self._callbacks)
             self.fail(exc)
+            if not waited:
+                raise exc
             return
         if yielded.triggered:
             # Already-triggered event (e.g. a Store.get with an item

@@ -331,11 +331,9 @@ def timeline(
 ):
     """Run FlowValve on one simulated NIC against backlogged senders.
 
-    The figure-reproduction entry point (fig. 3/11/crossbar), rebuilt
-    as a thin adapter over :class:`~repro.topology.SimulationSpec` —
-    same world, same event stream, same
-    :class:`~repro.experiments.base.TimelineResult` shape as the
-    historical ``run_flowvalve_timeline``.
+    The figure-reproduction entry point (fig. 11/crossbar): a thin
+    adapter over :class:`~repro.topology.SimulationSpec` returning a
+    :class:`~repro.experiments.base.TimelineResult`.
     """
     from .spec import SimulationSpec, Topology
 

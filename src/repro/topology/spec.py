@@ -10,8 +10,8 @@ execution plan (shard count, window override, observability taps), and
 conservative-window barrier protocol (:mod:`repro.sim.shard`) for
 many.
 
-The classic entry points (``run_flowvalve_timeline``, ``fv simulate``'s
-argument plumbing, ``ScaledSetup.for_link`` construction snippets) are
+The classic entry points (``fv simulate``'s argument plumbing, the
+figure runners, ``ScaledSetup.for_link`` construction snippets) are
 thin adapters over this module; see :func:`repro.topology.timeline`.
 
 A *domain* — the unit of parallelism — is one NIC plus the hosts/apps

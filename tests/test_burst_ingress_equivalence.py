@@ -1,18 +1,19 @@
-"""Burst-vs-per-packet ingress equivalence: the bit-exactness contract.
+"""Train-vs-per-packet ingress equivalence: the bit-exactness contract.
 
-``NicConfig.ingress_burst`` lets open-loop senders precompute trains of
-emission instants and hand them to ``NicPipeline.submit_burst`` as one
-run-lane entry (DESIGN.md §7). The contract mirrors the fast-path one
-in ``test_nic_fastpath_equivalence.py``: not "statistically close" but
+On a fast-path pipeline, open-loop senders precompute trains of
+emission instants and hand them to ``NicPipeline.submit_train`` as one
+run-lane entry (DESIGN.md §7). The reference is the per-packet oracle
+(``fast_path=False``), which takes every packet through
+``NicPipeline.submit``. The contract mirrors the fast-path one in
+``test_nic_fastpath_equivalence.py``: not "statistically close" but
 *bit-identical observable behaviour* — the same interleaved rx/drop
 record stream, drop reasons, per-app byte counts, scheduler stats, and
-jitter RNG draw order, with strictly fewer kernel events. Both sides
-run with ``fast_path=True``; only the ingress mode differs.
+jitter RNG draw order, with strictly fewer kernel events.
 
-A second section checks the lazy-sink fold (sink tallies under burst
+A second section checks the lazy-sink fold (sink tallies under train
 ingress with direct sink delivery) and that ack-clocked TCP senders —
-which deliberately ignore the burst pipe (see ``host/tcp.py``) — are
-unaffected by the knob.
+which deliberately stay per-packet (see ``host/tcp.py``) — never
+submit a train.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.experiments.base import ScaledSetup, _scale_demand
 from repro.experiments.policies import fair_policy, motivation_policy
 from repro.experiments.workloads import motivation_demands
 from repro.host import FixedRateSender, TcpApp, TcpParams, TcpRegistry, windows
+from repro.host import traffic
 from repro.net import PacketFactory, PacketSink
 from repro.nic import NicConfig, NicPipeline
 from repro.sim import Simulator
@@ -66,7 +68,7 @@ def _observe(sim, nic, sink, records, senders):
     }
 
 
-def _run_fig11_motivation(ingress_burst: int, duration: float = 6.0) -> dict:
+def _run_fig11_motivation(fast_path: bool, duration: float = 6.0) -> dict:
     """The golden-trace NIC workload (Fig. 11(a) motivation mix)."""
     setup = ScaledSetup(nominal_link_bps=10e9, scale=2000.0, wire_bps=10e9)
     sim = Simulator(seed=setup.seed)
@@ -85,7 +87,7 @@ def _run_fig11_motivation(ingress_burst: int, duration: float = 6.0) -> dict:
     def on_drop(packet):
         records.append(f"drop:{packet.seq}:{packet.drop_reason.value}")
 
-    config = replace(setup.nic_config(), ingress_burst=ingress_burst)
+    config = replace(setup.nic_config(), fast_path=fast_path)
     nic = NicPipeline.with_flowvalve(
         sim, config, frontend, receiver=receive, on_drop=on_drop,
     )
@@ -102,7 +104,7 @@ def _run_fig11_motivation(ingress_burst: int, duration: float = 6.0) -> dict:
     return _observe(sim, nic, sink, records, senders)
 
 
-def _run_fig13_blast(ingress_burst: int, size: int = 1518, window: float = 0.004) -> dict:
+def _blast_fig13(fast_path: bool, size: int = 1518, window: float = 0.004) -> dict:
     """Fig. 13-style full-rate blast: four apps oversubscribing a
     40 Gbit fair policy at full modelled rates, keeping the Tx ring and
     the scheduler's RED drops under pressure while trains are long."""
@@ -119,7 +121,7 @@ def _run_fig13_blast(ingress_burst: int, size: int = 1518, window: float = 0.004
     def on_drop(packet):
         records.append(f"drop:{packet.seq}:{packet.drop_reason.value}")
 
-    config = NicConfig(ingress_burst=ingress_burst)
+    config = NicConfig(fast_path=fast_path)
     nic = NicPipeline.with_flowvalve(
         sim, config, frontend, receiver=receive, on_drop=on_drop
     )
@@ -138,8 +140,8 @@ def _run_fig13_blast(ingress_burst: int, size: int = 1518, window: float = 0.004
 
 class TestBurstIngressEquivalence:
     def test_fig11_motivation_workload_bit_identical(self):
-        burst = _run_fig11_motivation(ingress_burst=64)
-        plain = _run_fig11_motivation(ingress_burst=0)
+        burst = _run_fig11_motivation(fast_path=True)
+        plain = _run_fig11_motivation(fast_path=False)
         # Trained ingress must actually engage (fewer kernel events) ...
         assert burst["events"] < plain["events"]
         # ... while every observable — including the full interleaved
@@ -155,8 +157,8 @@ class TestBurstIngressEquivalence:
         assert burst["dropped"] > 0
 
     def test_fig13_full_rate_blast_bit_identical(self):
-        burst = _run_fig13_blast(ingress_burst=64)
-        plain = _run_fig13_blast(ingress_burst=0)
+        burst = _blast_fig13(fast_path=True)
+        plain = _blast_fig13(fast_path=False)
         assert burst["events"] < plain["events"]
         del burst["events"], plain["events"]
         assert burst["records"] == plain["records"]
@@ -165,17 +167,18 @@ class TestBurstIngressEquivalence:
         assert burst["delivered"] > 0
         assert burst["dropped"] > 0
 
-    def test_short_train_lengths_bit_identical(self):
+    def test_short_train_lengths_bit_identical(self, monkeypatch):
         # A tiny cap forces many short trains and exercises the
         # train-boundary wake arithmetic; still bit-identical.
-        small = _run_fig11_motivation(ingress_burst=2, duration=2.0)
-        plain = _run_fig11_motivation(ingress_burst=0, duration=2.0)
+        plain = _run_fig11_motivation(fast_path=False, duration=2.0)
+        monkeypatch.setattr(traffic, "TRAIN_CAP", 2)
+        small = _run_fig11_motivation(fast_path=True, duration=2.0)
         del small["events"], plain["events"]
         assert small == plain
 
 
 class TestLazySinkUnderBurst:
-    def _run(self, ingress_burst: int, duration: float = 4.0) -> dict:
+    def _run(self, fast_path: bool, duration: float = 4.0) -> dict:
         # Direct sink delivery (no record wrapper, no on_delivery): the
         # pipeline routes deliveries through the sink's lazy fold.
         setup = ScaledSetup(nominal_link_bps=10e9, scale=2000.0, wire_bps=10e9)
@@ -186,7 +189,7 @@ class TestLazySinkUnderBurst:
             params=setup.sched_params(),
         )
         sink = PacketSink(sim, rate_window=1.0, record_delays=False)
-        config = replace(setup.nic_config(), ingress_burst=ingress_burst)
+        config = replace(setup.nic_config(), fast_path=fast_path)
         nic = NicPipeline.with_flowvalve(
             sim, config, frontend, receiver=sink.receive,
         )
@@ -217,8 +220,8 @@ class TestLazySinkUnderBurst:
         }
 
     def test_folded_tallies_match_eventful_deliveries(self):
-        burst = self._run(ingress_burst=64)
-        plain = self._run(ingress_burst=0)
+        burst = self._run(fast_path=True)
+        plain = self._run(fast_path=False)
         assert burst["events"] < plain["events"]
         del burst["events"], plain["events"]
         assert burst == plain
@@ -252,8 +255,7 @@ class TestVectorizedTrains:
             )
             sink = PacketSink(sim, rate_window=1.0, record_delays=True)
             nic = NicPipeline.with_flowvalve(
-                sim, replace(setup.nic_config(), ingress_burst=64),
-                frontend, receiver=sink.receive,
+                sim, setup.nic_config(), frontend, receiver=sink.receive,
             )
             factory = PacketFactory()
             senders = []
@@ -314,7 +316,7 @@ class TestFluidLaneEquivalence:
             params=setup.sched_params(),
         )
         sink = PacketSink(sim, rate_window=1.0, record_delays=True)
-        config = replace(setup.nic_config(), ingress_burst=64, fluid=fluid)
+        config = replace(setup.nic_config(), fluid=fluid)
         nic = NicPipeline.with_flowvalve(
             sim, config, frontend, receiver=sink.receive,
         )
@@ -400,8 +402,20 @@ class TestFluidLaneEquivalence:
         assert any(r["dropped"] > 0 for r in runs)
 
 
-class TestTcpIgnoresBurstPipe:
-    def _run(self, ingress_burst: int, duration: float = 0.5) -> dict:
+class TestTcpIgnoresTrainPipe:
+    def test_tcp_senders_register_no_trains(self, monkeypatch):
+        # AimdConnection deliberately stays per-packet (its rationale
+        # and measurements live in host/tcp.py): on a pipeline that
+        # accepts trains, TCP senders still submit packet by packet.
+        trains = []
+        submit_train = NicPipeline.submit_train
+
+        def counting_submit_train(nic, *args, **kwargs):
+            trains.append(args)
+            return submit_train(nic, *args, **kwargs)
+
+        monkeypatch.setattr(NicPipeline, "submit_train", counting_submit_train)
+        duration = 0.5
         setup = ScaledSetup(scale=2000.0, seed=7)
         sim = Simulator(seed=setup.seed)
         frontend = FlowValveFrontend(
@@ -412,37 +426,21 @@ class TestTcpIgnoresBurstPipe:
         registry = TcpRegistry(sim)
         sink = PacketSink(sim, rate_window=1.0, record_delays=False,
                           on_delivery=registry.handle_delivery)
-        config = replace(setup.nic_config(), ingress_burst=ingress_burst)
-        nic = NicPipeline.with_flowvalve(sim, config, frontend,
+        nic = NicPipeline.with_flowvalve(sim, setup.nic_config(), frontend,
                                          receiver=sink.receive,
                                          on_drop=registry.handle_drop)
+        assert nic.fast_path
         factory = PacketFactory()
-        apps = []
         demands = {
             "NC": windows((0, duration, 2e9 / setup.scale)),
             "WS": windows((0, duration, 1e12)),
         }
         for index, (app, demand) in enumerate(demands.items()):
-            apps.append(TcpApp(
+            TcpApp(
                 sim, app, registry, factory, nic.submit, n_connections=2,
                 demand=demand, tcp_params=TcpParams(base_rtt=100e-6 * setup.scale),
                 vf_index=index,
-            ))
+            )
         sim.run(until=duration)
-        conns = [c for a in apps for c in a.connections]
-        return {
-            "events": sim.events_executed,
-            "delivered": sink.total_packets,
-            "bytes_by_app": dict(sink.bytes),
-            "sent": [c.sent_packets for c in conns],
-            "acked": [c.acked_packets for c in conns],
-            "lost": [c.lost_packets for c in conns],
-            "cwnd": [c.cwnd for c in conns],
-            "srtt": [c.srtt for c in conns],
-        }
-
-    def test_ack_clocked_senders_unaffected_by_knob(self):
-        # AimdConnection deliberately stays per-packet (its rationale
-        # and measurements live in host/tcp.py): identical behaviour
-        # *and* identical event counts either way.
-        assert self._run(ingress_burst=64) == self._run(ingress_burst=0)
+        assert sink.total_packets > 0
+        assert trains == []

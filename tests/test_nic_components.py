@@ -53,6 +53,14 @@ class TestNicConfig:
         with pytest.raises(ConfigError):
             NicConfig().scaled(0.0)
 
+    @pytest.mark.parametrize(
+        "field", ["rx_dma_latency", "tx_fixed_latency", "buffer_recycle_delay"]
+    )
+    def test_negative_latency_rejected(self, field):
+        with pytest.raises(ConfigError, match=field):
+            NicConfig(**{field: -1e-6})
+        NicConfig(**{field: 0.0})  # zero is a valid (ideal) latency
+
 
 class TestMemoryHierarchy:
     def test_standard_regions_present(self):

@@ -89,7 +89,7 @@ def _run_fig11_motivation(fast_path: bool, duration: float = 6.0) -> dict:
     return _observe(sim, nic, sink, records)
 
 
-def _run_fig13_blast(fast_path: bool, size: int = 1518, window: float = 0.004) -> dict:
+def _blast_fig13(fast_path: bool, size: int = 1518, window: float = 0.004) -> dict:
     """Fig. 13-style full-rate blast: four apps oversubscribing a
     40 Gbit fair policy at full modelled rates (no rate scaling), which
     keeps the Tx ring and the scheduler's RED drops under pressure."""
@@ -138,8 +138,8 @@ class TestFastSlowEquivalence:
         assert fast["dropped"] > 0
 
     def test_fig13_full_rate_blast_bit_identical(self):
-        fast = _run_fig13_blast(fast_path=True)
-        slow = _run_fig13_blast(fast_path=False)
+        fast = _blast_fig13(fast_path=True)
+        slow = _blast_fig13(fast_path=False)
         assert fast["events"] < slow["events"]
         del fast["events"], slow["events"]
         assert fast["records"] == slow["records"]

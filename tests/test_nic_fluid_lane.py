@@ -120,10 +120,17 @@ class TestEngineReport:
         _, nic, _ = _world(metrics=MetricsRegistry())
         self._assert_engine(nic, "fluid", None)
 
-    def test_tracer_forces_the_per_packet_engine(self):
-        _, nic, _ = _world(tracer=Tracer())
+    def test_tracer_forces_the_per_packet_engine(self, monkeypatch):
+        trains = []
+        monkeypatch.setattr(
+            NicPipeline, "submit_train", lambda nic, *args: trains.append(args)
+        )
+        sim, nic, _ = _world(tracer=Tracer())
         self._assert_engine(nic, "per-packet", "tracer on")
-        assert nic.ingress_burst == 0
+        # Senders see a per-packet pipeline and submit no trains.
+        sim.run(until=0.2)
+        assert nic.submitted > 0
+        assert trains == []
 
     def test_fast_path_off(self):
         _, nic, _ = _world(fast_path=False)

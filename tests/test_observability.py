@@ -318,7 +318,8 @@ def _fig11_world(metrics, fast_path=True, **config):
 
 def _megaflow_world(metrics, fast_path=True, duration=0.01, **config):
     """``megaflow.build``'s heavy-tailed trace mix (EMC misses absorbed
-    through ``fluid_classify``) over *duration* nominal seconds."""
+    by the lane's classification replay) over *duration* nominal
+    seconds."""
     from repro.experiments import megaflow
     from repro.experiments.policies import motivation_policy
     from repro.host import WORKLOAD_PRESETS, TraceWorkload
@@ -335,7 +336,7 @@ def _megaflow_world(metrics, fast_path=True, duration=0.01, **config):
     )
     nic = NicPipeline.with_flowvalve(
         sim,
-        replace(setup.nic_config(), fast_path=fast_path, fluid_classify=True, **config),
+        replace(setup.nic_config(), fast_path=fast_path, **config),
         frontend,
         receiver=sink.receive,
     )
@@ -495,13 +496,13 @@ class TestSoftwareModeObservability:
 
 class TestExperimentIntegration:
     def test_timeline_runner_dumps_raw_streams(self, tmp_path):
-        from repro.experiments.base import run_flowvalve_timeline
         from repro.tc.parser import parse_script
+        from repro.topology import timeline
 
         trace_path = tmp_path / "fig.trace.jsonl"
         metrics_path = tmp_path / "fig.metrics.jsonl"
         setup = ScaledSetup(nominal_link_bps=10e9, scale=1000.0, wire_bps=10e9)
-        result = run_flowvalve_timeline(
+        result = timeline(
             parse_script(POLICY),
             {"A": lambda t: 9e9, "B": lambda t: 9e9},
             setup,
@@ -520,11 +521,11 @@ class TestExperimentIntegration:
         assert metric_rows[-1]["nic.submitted"] > 0
 
     def test_timeline_runner_default_has_no_observability(self):
-        from repro.experiments.base import run_flowvalve_timeline
         from repro.tc.parser import parse_script
+        from repro.topology import timeline
 
         setup = ScaledSetup(nominal_link_bps=10e9, scale=2000.0, wire_bps=10e9)
-        result = run_flowvalve_timeline(
+        result = timeline(
             parse_script(POLICY), {"A": lambda t: 9e9}, setup,
             duration=2.0, bin_seconds=1.0,
         )

@@ -140,6 +140,19 @@ class TestProcesses:
         sim.run()
         assert caught == ["boom"]
 
+    def test_unwaited_process_failure_raises_out_of_run(self):
+        sim = Simulator()
+
+        def doomed():
+            yield 1.0
+            raise RuntimeError("boom")
+
+        proc = sim.process(doomed())
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run(until=5)
+        assert sim.now == 1.0
+        assert proc.triggered and not proc.ok
+
     def test_yielding_garbage_fails_process(self):
         sim = Simulator()
 
@@ -147,9 +160,28 @@ class TestProcesses:
             yield "not a waitable"
 
         proc = sim.process(bad())
-        sim.run()
+        # Nothing waits on it, so the failure surfaces from run().
+        with pytest.raises(ProcessError):
+            sim.run()
         assert proc.triggered and not proc.ok
         assert isinstance(proc.value, ProcessError)
+
+    def test_yielding_garbage_delivered_to_waiter(self):
+        sim = Simulator()
+        caught = []
+
+        def bad():
+            yield "not a waitable"
+
+        def parent():
+            try:
+                yield sim.process(bad())
+            except ProcessError as exc:
+                caught.append(exc)
+
+        sim.process(parent())
+        sim.run()
+        assert len(caught) == 1
 
     def test_non_generator_rejected(self):
         sim = Simulator()
