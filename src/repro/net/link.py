@@ -88,10 +88,8 @@ class Link:
 
         Returns the absolute time serialisation will finish. Frames
         queue behind any in-flight frame, preserving FIFO order.
-        *now* overrides the simulator clock for callers replaying
-        deferred work at its original (virtual) timestamp — the fluid
-        lane sends at the packet's true completion time even though the
-        wall clock has already moved past it.
+        *now* is the send instant; callers that already hold the
+        simulator clock pass it instead of having it read again.
         """
         if now is None:
             now = self.sim._now

@@ -18,11 +18,14 @@ from .packet import Packet
 
 __all__ = ["PacketSink"]
 
+#: Sketch-mode delays buffered per app before one ``add_many`` call.
+_SKETCH_RUN = 1024
+
 
 class PacketSink:
     """Terminal packet consumer with per-app accounting.
 
-    Two delivery routes feed the same tallies:
+    Two delivery routes feed the same tallies (:meth:`_account`):
 
     * :meth:`receive` — the eventful route (``Link.receiver``): one
       link-delivery event per frame, accounted immediately.
@@ -33,6 +36,9 @@ class PacketSink:
       delivery time. Mirrors ``BufferPool.release_at``. Only wired up
       when nothing can observe the difference (no ``on_delivery``
       hook, no tracing — the pipeline decides).
+
+    In sketch mode delays stream into one sketch per app; the pooled
+    sketch is their merge, built on read (one sketch add per delivery).
 
     Parameters
     ----------
@@ -93,10 +99,10 @@ class PacketSink:
         self._delays: List[float] = []
         self._delays_by_app: Dict[str, List[float]] = defaultdict(list)
         self._sketch = stats_mode == "sketch"
-        self._delay_sketch: Optional[QuantileSketch] = None
         self._sketches_by_app: Dict[str, QuantileSketch] = {}
-        if self._sketch:
-            self._delay_sketch = QuantileSketch(relative_error=sketch_error)
+        #: Per app: delays not yet in its sketch (sketch mode). Read
+        #: paths settle them first (:meth:`_settle_sketches`).
+        self._sketch_runs: Dict[str, List[float]] = {}
         self._rate_window = rate_window
         self._total_packets = 0
         self._total_bytes = 0
@@ -136,12 +142,15 @@ class PacketSink:
                 lambda: self._pending[-1][0] if self._pending else None
             )
         if self._fold_interval is not None and not self._fold_armed:
-            # Re-armed on the first pending delivery after a drain, so
-            # the periodic fold never keeps an otherwise-empty event
-            # queue alive.
-            self._fold_armed = True
-            self.sim.schedule(self._fold_interval, self._periodic_fold)
+            self._arm_fold()
         self._pending.append((time, packet))
+
+    def _arm_fold(self) -> None:
+        """Schedule the periodic fold. Re-armed on the first pending
+        delivery after a drain, so the periodic fold never keeps an
+        otherwise-empty event queue alive."""
+        self._fold_armed = True
+        self.sim.schedule(self._fold_interval, self._periodic_fold)
 
     def _periodic_fold(self) -> None:
         self._fold()
@@ -151,6 +160,11 @@ class PacketSink:
             self._fold_armed = False
 
     def _account(self, packet: Packet, now: float) -> None:
+        """The tally rules of one delivery at *now*, shared by both
+        routes. In sketch mode the delay is appended to its app's run,
+        which enters the app's sketch with one ``add_many`` call (equal
+        to adding the delays one by one) when it fills or when a reader
+        settles it: one sketch add per delivery."""
         app = packet.app
         size = packet.size
         self._packets[app] += 1
@@ -169,13 +183,18 @@ class PacketSink:
         if self.record_delays and packet.created_at >= 0 and now >= self.delay_start:
             delay = now - packet.created_at
             if self._sketch:
-                self._delay_sketch.add(delay)
-                sketch = self._sketches_by_app.get(app)
-                if sketch is None:
-                    sketch = self._sketches_by_app[app] = QuantileSketch(
+                run = self._sketch_runs.get(app)
+                if run is None:
+                    # First delay of this app: its sketch joins the
+                    # pooled merge in first-delivery order.
+                    self._sketches_by_app[app] = QuantileSketch(
                         relative_error=self.sketch_error
                     )
-                sketch.add(delay)
+                    run = self._sketch_runs[app] = []
+                run.append(delay)
+                if len(run) >= _SKETCH_RUN:
+                    self._sketches_by_app[app].add_many(run)
+                    run.clear()
             else:
                 self._delays.append(delay)
                 self._delays_by_app[app].append(delay)
@@ -187,6 +206,14 @@ class PacketSink:
             )
         if self.on_delivery is not None:
             self.on_delivery(packet)
+
+    def _settle_sketches(self) -> None:
+        """Move every buffered sketch-mode delay into its app's sketch."""
+        sketches = self._sketches_by_app
+        for app, run in self._sketch_runs.items():
+            if run:
+                sketches[app].add_many(run)
+                run.clear()
 
     def _fold(self, until: Optional[float] = None) -> None:
         """Account every pending lazy delivery with time <= *until*.
@@ -256,21 +283,34 @@ class PacketSink:
         self._fold()
         return self._delays_by_app
 
+    def _pooled_sketch(self) -> QuantileSketch:
+        """All apps' delays in one sketch: the per-app sketches merged
+        in first-delivery order. Bins, count, min and max (so every
+        quantile) equal a single sketch fed every delay; sum, mean and
+        jitter agree up to float associativity."""
+        pooled = QuantileSketch(relative_error=self.sketch_error)
+        for sketch in self._sketches_by_app.values():
+            pooled.merge(sketch)
+        return pooled
+
     def delay_sketch(self, app: Optional[str] = None) -> QuantileSketch:
         """The streaming delay sketch (sketch mode only): pooled, or
         one app's. The sketch's ``bin_count`` is the sink's entire
         variable delay-stats footprint — the megaflow bench asserts it
-        stays bounded while millions of samples stream through."""
+        stays bounded while millions of samples stream through.
+
+        The pooled sketch is built by merging on each call, and an app
+        with no delivery gets a fresh empty sketch; neither is stored.
+        An app's sketch takes later deliveries at the next read."""
         if not self._sketch:
             raise ValueError("delay_sketch() requires stats_mode='sketch'")
         self._fold()
+        self._settle_sketches()
         if app is None:
-            return self._delay_sketch
+            return self._pooled_sketch()
         sketch = self._sketches_by_app.get(app)
         if sketch is None:
-            sketch = self._sketches_by_app[app] = QuantileSketch(
-                relative_error=self.sketch_error
-            )
+            return QuantileSketch(relative_error=self.sketch_error)
         return sketch
 
     def latency_summary(self, app: Optional[str] = None) -> LatencySummary:
@@ -282,8 +322,9 @@ class PacketSink:
         """
         self._fold()
         if self._sketch:
+            self._settle_sketches()
             if app is None:
-                return self._delay_sketch.summary()
+                return self._pooled_sketch().summary()
             sketch = self._sketches_by_app.get(app)
             return sketch.summary() if sketch is not None else LatencySummary(
                 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0

@@ -21,10 +21,11 @@ its resume events. Deferred steps are **flushed** — applied at their
 original virtual times, in kernel order — before anything can observe
 the affected state: at every later NIC arrival (and at ``submit``/
 train-arrival admission, ahead of the buffer-pool read) and at end of
-``run()`` via the simulator's end hooks. Emissions and drops replay
-through ``TrafficManager._now_override`` / the pipeline's
-``_drop_now_override`` so egress arithmetic, lazy sink deliveries and
-buffer returns all use the packet's true completion time.
+``run()`` via the simulator's end hooks. Completions — head-of-line,
+parked reorder runs and drops alike — release through the lane's own
+virtual-ring emission (:meth:`FluidLane._emit`), so egress arithmetic,
+lazy sink deliveries and buffer returns all use the packet's true
+completion time.
 
 Absorption runs in one of two modes. In **mixed** mode — whenever a
 real worker may still be mid-packet (cold caches, an update-due spill
@@ -328,14 +329,14 @@ class FluidLane:
         entry = entries.get(key)
         if entry is None:
             # EMC miss: replay the classifier walk analytically.
-            return self._try_fluid_miss(packet, now)
+            return self._try_fluid_miss(packet, now, key, None)
         # Label time: arrival + fixed overhead (handle_fast's ``t``).
         t = now + self._c_label
         label, stored_at = entry
         timeout = cache.idle_timeout
         if timeout and (t - stored_at) > timeout:
             # Idle-expired: the real get() would miss — same replay.
-            return self._try_fluid_miss(packet, now)
+            return self._try_fluid_miss(packet, now, key, entry)
         path = self._scheduler.path_cache.entries.get(label.hierarchy)
         if path is None:
             return False
@@ -350,30 +351,26 @@ class FluidLane:
         packet.borrow_label = label.borrow
         return True
 
-    def _try_fluid_miss(self, packet, now: float) -> bool:
-        """Absorb an EMC-miss packet by replaying the classification
-        walk analytically.
+    def _try_fluid_miss(self, packet, now: float, key, expired) -> bool:
+        """Absorb an EMC-miss packet with one classification walk.
 
-        The pre-checks are side-effect-free — the rule walk below
-        deliberately bypasses the classifier's ``lookups``/``misses``
-        counters, which the *committed* walk (``labeler.label``)
-        increments exactly once, as the real worker would. On commit,
-        every mutation the trylock fast handler performs on a miss
-        (cache get-miss bookkeeping, rule walk, cache insert with its
-        eviction/expiry, label stamp, path memoisation, early touch,
-        skip counts) runs at the handler's exact virtual timestamps, so
-        outcomes are bit-identical to the per-packet path; only the
+        *expired* is the idle-expired cache entry under *key*, or None
+        when the key is absent. The walk (``Classifier.resolve``) and
+        the gate are side-effect-free. On commit the lane performs what
+        ``LabelingFunction.label`` does on a miss — cache get-miss (or
+        idle expiry) bookkeeping, the classifier's ``lookups``/
+        ``misses`` counters, cache insert with its eviction/expiry
+        decision, label stamp — then the path memoisation, early touch
+        and skip counts, all at the fast handler's virtual timestamps,
+        so outcomes are bit-identical to the per-packet path; only the
         kernel-event count differs. Caller guarantees the dispatch gate
         and a non-None cache.
         """
         labeler = self._labeler
-        # Pure pre-walk: first matching rule, as Classifier.classify.
-        leaf_id = None
-        for rule in labeler.classifier._rules:
-            if rule.match.matches(packet):
-                leaf_id = rule.flowid
-                break
-        if leaf_id is None:
+        classifier = labeler.classifier
+        leaf_id = classifier.resolve(packet)
+        matched = leaf_id is not None
+        if not matched:
             leaf_id = labeler.default_leaf
             if leaf_id is None:
                 return False  # unclassified drop: slow path handles it
@@ -385,8 +382,7 @@ class FluidLane:
         if c_miss is None:
             costs = self._costs
             c_miss = self._c_miss = self._cycles(
-                costs.emc_hit
-                + costs.classify_per_rule * max(1, len(labeler.classifier))
+                costs.emc_hit + costs.classify_per_rule * max(1, len(classifier))
             )
         scheduler = self._scheduler
         hierarchy = label.hierarchy
@@ -399,11 +395,18 @@ class FluidLane:
             path = [tree.node(classid) for classid in hierarchy]
         if not self._absorb(packet, label, path, t + c_miss):
             return False
-        # The real, counted walk at the label timestamp: get-miss (or
-        # expiry), classify, cache.put with its eviction/expiry
-        # decision, label stamp — LabelingFunction.label is the exact
-        # code the fast handler runs.
-        labeler.label(packet, t)
+        # Commit LabelingFunction.label's miss at the label timestamp.
+        cache = labeler.cache
+        if expired is not None:  # ExactMatchCache.get's idle expiry
+            del cache._entries[key]
+            cache.expirations += 1
+        cache.misses += 1
+        classifier.lookups += 1
+        if not matched:
+            classifier.misses += 1
+        cache.put(key, label, t)
+        packet.hierarchy_label = label.hierarchy
+        packet.borrow_label = label.borrow
         if not resolved:
             scheduler.path_cache.resolve(scheduler.tree, hierarchy)
         self.miss_absorbed += 1
@@ -667,77 +670,16 @@ class FluidLane:
             bkey = (leaf.classid, borrowed_from.classid)
             stats.borrow_matrix[bkey] = stats.borrow_matrix.get(bkey, 0) + 1
         stats.decisions += 1
-        pipeline = self._pipeline
         reorder = self._reorder
-        if reorder is None or (
-            job.ticket == reorder._next_release and not reorder._pending
-        ):
+        if reorder is None:
+            self._emit(tv, packet)
+        elif job.ticket == reorder._next_release and not reorder._pending:
             # Head-of-line with nothing parked: complete() would only
-            # bump the cursor and emit. The whole emission chain —
-            # _emit_to_tx_fast -> TrafficManager.offer -> Link.send ->
-            # lazy sink delivery + lazy buffer return — is inlined at
-            # the job's virtual time ``tv`` (no clock overrides
-            # needed); the construction guard pins exactly this chain.
-            if reorder is not None:
-                reorder._next_release = job.ticket + 1
-            ring = self._tx_ring
-            starts = ring._starts
-            while starts and starts[0] <= tv:  # TxRing.virtual_accept
-                starts.popleft()
-            buffers = self._buffers
-            if len(starts) >= ring.depth:
-                ring.tail_drops += 1
-                # Inlined NicPipeline._drop(QUEUE_FULL): no tracer,
-                # no counters, no on_drop under the fluid guard.
-                packet.dropped = True
-                packet.drop_reason = DropReason.QUEUE_FULL
-                pipeline.dropped += 1
-                pipeline.drops_by_reason[DropReason.QUEUE_FULL] += 1
-                buffers._outstanding -= 1
-                _heappush(buffers._pending, tv + buffers.recycle_delay)
-            else:
-                tm = self._tm
-                tm._frames_out += 1
-                link = self._link
-                prior = link._busy_until  # Link.send(packet, now=tv)
-                start = prior if prior > tv else tv
-                finish = start + (packet.size + ETH_OVERHEAD) * 8.0 / self._rate_bps
-                link._busy_until = finish
-                packet.tx_start = start
-                link.frames_sent += 1
-                link.bytes_sent += packet.size
-                sink = self._sink
-                if self._boundary:
-                    # Cross-shard wire: inlined BoundaryOutbox
-                    # .receive_later — one WireRecord at the virtual
-                    # arrival instant, identical to what the real lazy
-                    # route would have recorded.
-                    sink.records.append((
-                        finish + self._prop_delay, packet.seq, packet.size,
-                        packet.created_at, packet.app, packet.vf_index,
-                    ))
-                elif sink._drain_hook_registered:
-                    sink._pending.append((finish + self._prop_delay, packet))
-                else:  # first delivery registers the drain hook
-                    sink.receive_later(finish + self._prop_delay, packet)
-                if prior > tv:  # TxRing.virtual_push(prior)
-                    starts.append(prior)
-                    occ = len(starts)
-                    if occ > ring.max_occupancy:
-                        ring.max_occupancy = occ
-                # _on_sent_at: lazy buffer return at serialisation end.
-                buffers._outstanding -= 1
-                _heappush(buffers._pending, finish + buffers.recycle_delay)
-                pipeline.forwarded += 1
+            # bump the cursor and emit.
+            reorder._next_release = job.ticket + 1
+            self._emit(tv, packet)
         else:
-            tm = self._tm
-            tm._now_override = tv
-            pipeline._drop_now_override = tv
-            try:
-                reorder.complete(job.ticket, packet)
-            finally:
-                tm._now_override = None
-                pipeline._drop_now_override = None
+            self._release(tv, job.ticket, packet)
         self._job_done()
 
     def _finish_drop(self, tv: float, job: _FluidJob) -> None:
@@ -747,35 +689,110 @@ class FluidLane:
         packet = job.packet
         packet.dropped = True  # inlined mark_dropped(SCHED_RED)
         packet.drop_reason = DropReason.SCHED_RED
-        pipeline = self._pipeline
         reorder = self._reorder
-        if reorder is None or (
-            job.ticket == reorder._next_release and not reorder._pending
-        ):
-            # Head-of-line drop with nothing parked: no emission can
-            # result. Inlined NicPipeline._drop (no tracer, no drop
-            # counters, no on_drop under the fluid construction guard):
-            # count the discard and return the buffer lazily at the
-            # drop's virtual time.
-            if reorder is not None:
+        if reorder is not None:
+            if job.ticket == reorder._next_release and not reorder._pending:
                 reorder._next_release = job.ticket + 1
+            else:
+                # Frees the ticket; a parked run behind it goes out.
+                self._release(tv, job.ticket, None)
+        # Inlined NicPipeline._drop (no tracer, no drop counters, no
+        # on_drop under the fluid construction guard): count the
+        # discard and return the buffer lazily at the drop's virtual
+        # time.
+        pipeline = self._pipeline
+        pipeline.dropped += 1
+        pipeline.drops_by_reason[DropReason.SCHED_RED] += 1
+        buffers = self._buffers
+        buffers._outstanding -= 1
+        _heappush(buffers._pending, tv + buffers.recycle_delay)
+        self._job_done()
+
+    def _release(self, tv: float, ticket: int, packet) -> None:
+        """``ReorderBuffer.complete`` at virtual time *tv* for a
+        completion that is not a plain head-of-line one: park it, or
+        release it together with the parked run behind it. *packet*
+        None is a drop that only frees its ticket. The released run
+        goes out frame by frame through :meth:`_emit`, which is what
+        ``TrafficManager.offer_burst`` computes for the same burst."""
+        reorder = self._reorder
+        pending = reorder._pending
+        if ticket != reorder._next_release:
+            pending[ticket] = packet
+            if len(pending) > reorder.max_parked:
+                reorder.max_parked = len(pending)
+            return
+        ticket += 1
+        sent = packet is not None and self._emit(tv, packet)
+        while ticket in pending:
+            released = pending.pop(ticket)
+            ticket += 1
+            if released is not None and self._emit(tv, released):
+                sent = True
+        reorder._next_release = ticket
+        if sent and not self._boundary:
+            # A released run arms the sink's idle periodic fold, as its
+            # burst route (Link.send_batch -> receive_later) does; the
+            # committed event counts include those fold events.
+            sink = self._sink
+            if sink._fold_interval is not None and not sink._fold_armed:
+                sink._arm_fold()
+
+    def _emit(self, tv: float, packet) -> bool:
+        """Egress of one released frame at virtual time *tv*: the whole
+        chain ``_emit_to_tx_fast -> TrafficManager.offer -> Link.send
+        -> lazy sink delivery + lazy buffer return``, with the
+        pipeline's QUEUE_FULL drop on a full Tx ring. The construction
+        guard pins exactly this chain (virtual Tx ring, lazy sink or
+        boundary outbox, lazy buffer returns, no tracer, no on_drop).
+        Returns False when the frame was dropped."""
+        pipeline = self._pipeline
+        ring = self._tx_ring
+        starts = ring._starts
+        while starts and starts[0] <= tv:  # TxRing.virtual_accept
+            starts.popleft()
+        buffers = self._buffers
+        if len(starts) >= ring.depth:
+            ring.tail_drops += 1
+            packet.dropped = True
+            packet.drop_reason = DropReason.QUEUE_FULL
             pipeline.dropped += 1
-            pipeline.drops_by_reason[DropReason.SCHED_RED] += 1
-            buffers = self._buffers
+            pipeline.drops_by_reason[DropReason.QUEUE_FULL] += 1
             buffers._outstanding -= 1
             _heappush(buffers._pending, tv + buffers.recycle_delay)
-            self._job_done()
-            return
-        tm = self._tm
-        tm._now_override = tv
-        pipeline._drop_now_override = tv
-        try:
-            reorder.complete(job.ticket, None)
-            pipeline._drop(packet, DropReason.SCHED_RED, already_marked=True)
-        finally:
-            tm._now_override = None
-            pipeline._drop_now_override = None
-        self._job_done()
+            return False
+        self._tm._frames_out += 1
+        link = self._link
+        prior = link._busy_until  # Link.send(packet, now=tv)
+        start = prior if prior > tv else tv
+        finish = start + (packet.size + ETH_OVERHEAD) * 8.0 / self._rate_bps
+        link._busy_until = finish
+        packet.tx_start = start
+        link.frames_sent += 1
+        link.bytes_sent += packet.size
+        sink = self._sink
+        if self._boundary:
+            # Cross-shard wire: inlined BoundaryOutbox.receive_later —
+            # one WireRecord at the virtual arrival instant, identical
+            # to what the real lazy route would have recorded.
+            sink.records.append((
+                finish + self._prop_delay, packet.seq, packet.size,
+                packet.created_at, packet.app, packet.vf_index,
+            ))
+        elif sink._drain_hook_registered:
+            sink._pending.append((finish + self._prop_delay, packet))
+        else:  # first delivery registers the drain hook
+            sink.receive_later(finish + self._prop_delay, packet)
+        if prior > tv:  # TxRing.virtual_push(prior)
+            starts.append(prior)
+            occ = len(starts)
+            if occ > ring.max_occupancy:
+                ring.max_occupancy = occ
+        # _on_sent_at: lazy buffer return at serialisation end.
+        buffers._outstanding -= 1
+        _heappush(buffers._pending, finish + buffers.recycle_delay)
+        pipeline.forwarded += 1
+        return True
 
     def _job_done(self) -> None:
         self._live -= 1

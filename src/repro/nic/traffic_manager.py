@@ -69,10 +69,6 @@ class TrafficManager:
         # so `frames_out` reads identically in both modes at any
         # timestamp — including a run horizon that cuts mid-queue.
         self._frames_out = 0
-        #: Virtual-clock override for deferred egress (the fluid lane
-        #: replays completions at their original timestamps after the
-        #: wall clock has passed them). None = use the simulator clock.
-        self._now_override = None
         tracer = sim.tracer
         self._trace = tracer if tracer.enabled else None
         if sim.metrics.enabled:
@@ -110,9 +106,7 @@ class TrafficManager:
     def offer(self, packet: Packet) -> bool:
         """Accept one frame for egress; False (drop-marked) when the
         ring is full. Serialisation is computed immediately."""
-        now = self._now_override
-        if now is None:
-            now = self.sim._now
+        now = self.sim._now
         ring = self.tx_ring
         if not ring.virtual_accept(now):
             packet.mark_dropped(DropReason.QUEUE_FULL)
@@ -137,9 +131,7 @@ class TrafficManager:
         (:meth:`Link.send_batch`). Rejected frames come back
         drop-marked for the pipeline to tally.
         """
-        now = self._now_override
-        if now is None:
-            now = self.sim._now
+        now = self.sim._now
         ring = self.tx_ring
         link = self.link
         busy = link._busy_until

@@ -111,6 +111,52 @@ class QuantileSketch:
         if len(bins) > self.max_bins:
             self._collapse()
 
+    def add_many(self, values) -> None:
+        """Insert samples in order — bit-identical to calling
+        :meth:`add` on each (same float operations in the same order),
+        with the accumulators held in locals across the run."""
+        count = self.count
+        total = self._sum
+        lo = self._min
+        hi = self._max
+        mean = self._mean
+        m2 = self._m2
+        min_value = self.min_value
+        log_gamma = self._log_gamma
+        max_bins = self.max_bins
+        bins = self._bins
+        underflow = 0
+        log = math.log
+        ceil = math.ceil
+        for value in values:
+            count += 1
+            total += value
+            if value < lo:
+                lo = value
+            if value > hi:
+                hi = value
+            delta = value - mean
+            mean += delta / count
+            m2 += delta * (value - mean)
+            if value < min_value:
+                underflow += 1
+                continue
+            index = ceil(log(value) / log_gamma)
+            n = bins.get(index)
+            if n is not None:
+                bins[index] = n + 1
+            else:
+                bins[index] = 1
+                if len(bins) > max_bins:
+                    self._collapse()
+        self.count = count
+        self._sum = total
+        self._min = lo
+        self._max = hi
+        self._mean = mean
+        self._m2 = m2
+        self._underflow += underflow
+
     def _collapse(self) -> None:
         """Fold the lowest bucket into its neighbour (low-tail accuracy
         is sacrificed first, as in DDSketch's collapsing policy)."""
@@ -131,6 +177,7 @@ class QuantileSketch:
             bins[index] = bins.get(index, 0) + count
         while len(bins) > self.max_bins:
             self._collapse()
+        self.collapsed += other.collapsed
         self._underflow += other._underflow
         if other.count:
             # Chan et al. parallel-variance combine keeps jitter exact.
@@ -193,7 +240,9 @@ class QuantileSketch:
         rank = q * (self.count - 1)
         cum = self._underflow
         if cum > rank:
-            return self.min_value
+            # The underflow bucket's bound, clamped into the observed
+            # range like a bucket midpoint below.
+            return min(max(self.min_value, self._min), self._max)
         gamma = self.gamma
         for index in sorted(self._bins):
             cum += self._bins[index]

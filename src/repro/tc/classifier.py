@@ -121,10 +121,22 @@ class Classifier:
     kernel's filter chain walk. :meth:`classify` returns the leaf class
     id or ``None`` when nothing matched (the caller applies the qdisc's
     ``default`` class or drops).
+
+    The walk is indexed by a packet's exact fields ``(vf, app, proto)``:
+    each key maps to its candidate rules — those whose exact fields are
+    wildcards or equal to the key's — in first-match order, stored as
+    ``(src, dst, sport, dport, flowid)`` residual checks. A candidate
+    with no residual field always matches, so it ends its list; a
+    policy that matches on ``app`` alone resolves with one dict lookup
+    and one candidate. Lists are built on a key's first lookup and the
+    whole index is dropped on :meth:`add`. The result is the linear
+    first-match scan's, rule for rule.
     """
 
     def __init__(self, filters: Optional[List[FilterSpec]] = None):
         self._rules: List[FilterRule] = []
+        #: (vf, app, proto) -> tuple of residual-check candidates.
+        self._index: Dict[tuple, tuple] = {}
         #: Number of classify calls (slow-path lookups).
         self.lookups = 0
         #: Calls that fell through every rule.
@@ -138,16 +150,55 @@ class Classifier:
         rule = FilterRule(MatchSpec.compile(spec.match), spec.flowid, spec.prio)
         self._rules.append(rule)
         self._rules.sort(key=lambda r: r.prio)  # stable: ties keep insert order
+        self._index.clear()
         return rule
 
     def __len__(self) -> int:
         return len(self._rules)
 
+    def _candidates(self, key: tuple) -> tuple:
+        """Build and store the candidate list of one index key."""
+        vf, app, proto = key
+        out = []
+        for rule in self._rules:
+            m = rule.match
+            if m.vf is not None and m.vf != vf:
+                continue
+            if m.app is not None and m.app != app:
+                continue
+            if m.proto is not None and m.proto != proto:
+                continue
+            out.append((m.src, m.dst, m.sport, m.dport, rule.flowid))
+            if m.src is None and m.dst is None and m.sport is None and m.dport is None:
+                break  # always matches: later rules are unreachable
+        candidates = self._index[key] = tuple(out)
+        return candidates
+
+    def resolve(self, packet: Packet) -> Optional[str]:
+        """Leaf class id for *packet*, or ``None`` — without touching
+        the ``lookups``/``misses`` counters (:meth:`classify` is the
+        counted walk)."""
+        flow = packet.flow
+        key = (packet.vf_index, packet.app, flow.proto)
+        candidates = self._index.get(key)
+        if candidates is None:
+            candidates = self._candidates(key)
+        for src, dst, sport, dport, flowid in candidates:
+            if src is not None and flow.src_ip != src:
+                continue
+            if dst is not None and flow.dst_ip != dst:
+                continue
+            if sport is not None and not (sport[0] <= flow.src_port <= sport[1]):
+                continue
+            if dport is not None and not (dport[0] <= flow.dst_port <= dport[1]):
+                continue
+            return flowid
+        return None
+
     def classify(self, packet: Packet) -> Optional[str]:
         """Leaf class id for *packet*, or ``None`` on no match."""
         self.lookups += 1
-        for rule in self._rules:
-            if rule.match.matches(packet):
-                return rule.flowid
-        self.misses += 1
-        return None
+        flowid = self.resolve(packet)
+        if flowid is None:
+            self.misses += 1
+        return flowid

@@ -146,6 +146,16 @@ class TestQuantileSketchFootprint:
         # Underflow samples rank below everything representable.
         assert sketch.quantile(0.1) == pytest.approx(1e-6)
 
+    def test_underflow_quantile_stays_in_observed_range(self):
+        # Regression: an underflow-bucket rank returned min_value
+        # (1e-12), above a maximum of 0.0.
+        sketch = QuantileSketch()
+        for _ in range(3):
+            sketch.add(0.0)
+        assert sketch.quantile(0.5) == 0.0
+        assert sketch.summary().p50 == 0.0
+        assert sketch.summary().p99 == 0.0
+
 
 class TestQuantileSketchMerge:
     def test_merge_equals_single_stream(self):
@@ -162,6 +172,18 @@ class TestQuantileSketchMerge:
         assert left.maximum == whole.maximum
         assert left.jitter == pytest.approx(whole.jitter, rel=1e-9)
         assert left._bins == whole._bins
+
+    def test_merge_keeps_collapse_count(self):
+        # Regression: merge() dropped other.collapsed, so a merged copy
+        # reported 0 collapses where its source reported 4.
+        source = QuantileSketch(max_bins=4)
+        for value in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0):
+            source.add(value)
+        assert source.collapsed == 4
+        merged = QuantileSketch(max_bins=4)
+        merged.merge(source)
+        assert merged.collapsed == 4
+        assert merged._bins == source._bins
 
     def test_merge_rejects_mismatched_error(self):
         with pytest.raises(ValueError):
@@ -265,6 +287,33 @@ class TestSinkSketchMode:
             sink.delays_by_app
         assert sink.delay_sketch().count == sink.total_packets
         assert sink.delay_sketch("A").count > 0
+
+    def test_pooled_sketch_is_the_merge_of_per_app_sketches(self):
+        sink = self._run("sketch")
+        whole = QuantileSketch()
+        for app in ("A", "B"):
+            whole.merge(sink.delay_sketch(app))
+        pooled = sink.delay_sketch()
+        assert pooled._bins == whole._bins
+        assert pooled.count == sink.total_packets
+        assert (pooled.minimum, pooled.maximum) == (whole.minimum, whole.maximum)
+        for q in (0.01, 0.5, 0.99):
+            assert pooled.quantile(q) == whole.quantile(q)
+        # The exact-mode pooled list holds the same delays.
+        exact = sorted(self._run("exact").delays)
+        assert pooled.minimum == exact[0]
+        assert pooled.maximum == exact[-1]
+
+    def test_reading_an_unseen_app_leaves_the_sink_unchanged(self):
+        # Regression: delay_sketch(app) stored an empty sketch for an
+        # app it had never seen, so a read changed the sink.
+        sink = self._run("sketch")
+        ghost = sink.delay_sketch("ghost")
+        assert ghost.count == 0
+        ghost.add(1.0)
+        assert sink.delay_sketch("ghost").count == 0
+        assert sink.delay_sketch().count == sink.total_packets
+        assert sink.latency_summary("ghost").count == 0
 
     def test_delay_sketch_requires_sketch_mode(self):
         sink = self._run("exact")
